@@ -932,8 +932,9 @@ let e14 m =
 
 (* The registry's vs-stack and vs-stack-faulty instances (generative_pure,
    so candidate sets are a pure function of the state), explored to a fixed
-   depth — the [max_depth] cut is level-synchronized and thus deterministic
-   at every job count, unlike a [max_states] cut.  Counts must agree
+   depth — the [max_depth] cut runs the parallel engine in per-level epochs
+   and is thus deterministic at every job count, unlike a [max_states]
+   cut.  Counts must agree
    exactly between jobs:1 and jobs:4; states/sec establishes the repo's
    perf trajectory.  Speedup depends on the cores the host actually grants
    (recorded as e15.recommended_domains). *)
@@ -957,7 +958,7 @@ let e15 m =
     ]
   in
   row "%-16s | %-4s | %-8s | %-11s | %-9s | %-9s\n" "entry" "jobs" "states"
-    "states/sec" "alloc MB" "steals";
+    "states/sec" "alloc MB" "handoffs";
   row "%s\n" (String.make 72 '-');
   List.iter
     (fun (name, cfg, init, max_depth) ->
@@ -983,7 +984,7 @@ let e15 m =
                 float_of_int stats.Check.Explorer.states /. (elapsed /. 1000.)
               else 0.
             in
-            let steals = Obs.Metrics.count em "explorer.steals" in
+            let handoffs = Obs.Metrics.count em "explorer.handoff_batches" in
             let pre = Printf.sprintf "e15.%s.jobs%d" name jobs in
             gauge m (pre ^ ".states") stats.Check.Explorer.states;
             gauge m (pre ^ ".transitions") stats.Check.Explorer.transitions;
@@ -991,11 +992,11 @@ let e15 m =
             Obs.Metrics.set m (pre ^ ".elapsed_ms") elapsed;
             Obs.Metrics.set m (pre ^ ".states_per_sec") sps;
             Obs.Metrics.set m (pre ^ ".alloc_mb") alloc_mb;
-            gauge m (pre ^ ".steals") steals;
-            gauge m (pre ^ ".shard_contention")
-              (Obs.Metrics.count em "explorer.shard_contention");
+            gauge m (pre ^ ".handoff_batches") handoffs;
+            gauge m (pre ^ ".ring_full_stalls")
+              (Obs.Metrics.count em "explorer.ring_full_stalls");
             row "%-16s | %-4d | %-8d | %-11.0f | %-9.1f | %-9d\n" name jobs
-              stats.Check.Explorer.states sps alloc_mb steals;
+              stats.Check.Explorer.states sps alloc_mb handoffs;
             (jobs, stats, outcome, sps))
           [ 1; 4 ]
       in
@@ -1033,9 +1034,8 @@ let e15 m =
 (* The registry's vs-stack and vs-stack-faulty entries explored twice to
    the same depth — once fully, once under the ample-set filter derived
    from each entry's declared footprint schema (the exact [?ample] the
-   analyzer's --reduce mode installs).  The depth cut is
-   level-synchronized, so both sides and every job count see the same
-   graph; the reduced side must reach the same
+   analyzer's --reduce mode installs).  The depth cut runs in per-level
+   epochs, so both sides and every job count see the same graph; the reduced side must reach the same
    violation/step-failure/deadlock verdict on strictly fewer states
    (lossless vs-stack) or honestly report ratio ~1 (vs-stack-faulty,
    whose drop/duplicate/reorder classes clash with every channel push —
@@ -1166,8 +1166,12 @@ let e16 m =
 
 (* Where does E15's jobs:4 slowdown go?  The scoped-phase profiler
    charges every worker's wall time to expand / fingerprint / dedup /
-   barrier-wait / steal, so the jobs:1-vs-jobs:4 comparison names the
-   dominant cost instead of guessing at it.  Allocation is accrued
+   route / flush / idle / barrier-wait, so the jobs:1-vs-jobs:4
+   comparison names the dominant cost instead of guessing at it.  The
+   depth-bounded run goes through the parallel engine's per-level
+   epochs; [.barrier_wait_share] is the fraction of summed worker wall
+   time spent waiting at them, and the handoff counters give the
+   cross-shard traffic behind the route / flush phases.  Allocation is accrued
    per-domain (worker deltas + the main domain's), so bytes/state here is
    the total the search allocates, not E15's main-domain lower bound.
    Profiling must not perturb the search: each profiled run's stats are
@@ -1223,8 +1227,8 @@ let e17 m =
       Obs.Metrics.set m (pre ^ ".bytes_per_state") bps;
       gauge m (pre ^ ".parity") (Bool.to_int (stats = ref_stats));
       Obs.Prof.to_metrics prof ~prefix:pre m;
-      (* the explorer's histograms (frontier size per level, per-state
-         expand latency, stolen-batch size), summarized into the snapshot *)
+      (* the explorer's histograms (sampled frontier length, per-state
+         expand latency), summarized into the snapshot *)
       List.iter
         (fun (key, short) ->
           match
@@ -1242,8 +1246,23 @@ let e17 m =
         [
           ("explorer.frontier", "frontier");
           ("explorer.expand_latency_us", "expand_latency_us");
-          ("explorer.steal_batch", "steal_batch");
         ];
+      gauge m (pre ^ ".handoff_batches")
+        (Obs.Metrics.count em "explorer.handoff_batches");
+      gauge m (pre ^ ".ring_full_stalls")
+        (Obs.Metrics.count em "explorer.ring_full_stalls");
+      let barrier_share =
+        match
+          List.find_opt
+            (fun t -> t.Obs.Prof.phase = "barrier-wait")
+            r.Obs.Prof.totals
+        with
+        | Some t when r.Obs.Prof.wall_ns > 0L ->
+            Int64.to_float t.Obs.Prof.ns
+            /. (Int64.to_float r.Obs.Prof.wall_ns *. float_of_int jobs)
+        | Some _ | None -> 0.
+      in
+      Obs.Metrics.set m (pre ^ ".barrier_wait_share") barrier_share;
       let split =
         String.concat ", "
           (List.map
@@ -1256,6 +1275,11 @@ let e17 m =
         (Stats.pct r.Obs.Prof.attributed)
         split;
       if jobs > 1 then begin
+        row "       handoff batches %d, ring-full stalls %d, barrier-wait \
+             %s of worker time\n"
+          (Obs.Metrics.count em "explorer.handoff_batches")
+          (Obs.Metrics.count em "explorer.ring_full_stalls")
+          (Stats.pct barrier_share);
         let dominant =
           List.fold_left
             (fun acc t -> match acc with
@@ -1306,7 +1330,7 @@ let e17 m =
           er.Obs.Prof.totals));
   row
     "\nparity: profiled runs must reproduce the unprofiled state counts \
-     exactly\n(attributed: fraction of summed worker wall time the five \
+     exactly\n(attributed: fraction of summed worker wall time the named \
      phases explain)\n"
 
 
@@ -1415,10 +1439,10 @@ let e18 m =
 (* E19 — Barrier-free sharded parallel exploration: scaling sweep      *)
 (* ================================================================== *)
 
-(* The level-synchronized engine (E15/E17/E18) stops scaling once the
-   per-level barrier and the striped seen-set dominate: every level ends
-   with every domain waiting on the slowest.  E19 sweeps the barrier-free
-   sharded engine (jobs ∈ {1, 2, 4}) over two vs-stack instances —
+(* Depth-bounded and deterministic runs (E15/E17/E18) pay a per-level
+   epoch barrier: every level ends with every domain waiting on the
+   slowest.  E19 sweeps the parallel engine's barrier-free discipline
+   (jobs ∈ {1, 2, 4}) over two vs-stack instances —
    a quota-capped clean run and an exhaustive faulty-transport run —
    and records:
 

@@ -37,9 +37,10 @@ let run_entry ~max_states_override ~max_depth ~jobs ~footprint ~reduce
 (* One plain codec-fed exploration per entry: states, depth and verdict
    (violation / step-failure / deadlock / clean), plus states/sec.
    `deterministic` keeps the full seen-table (retained keys,
-   parity-auditable); `throughput` switches the explorer to the
-   hash-compacted fingerprint set and, at jobs > 1 without a depth bound,
-   to the barrier-free sharded engine.  Both fingerprint states from the
+   parity-auditable) and, at jobs > 1, per-level epochs; `throughput`
+   switches the explorer to the hash-compacted fingerprint set and, at
+   jobs > 1 without a depth bound, drops the epochs (barrier-free).  Both
+   fingerprint states from the
    flat Check.Codec encoding when the entry ships one, so clean
    exhaustive runs agree on counts and verdicts by construction. *)
 let run_raw ~selected ~max_states_override ~max_depth ~jobs ~mode =
@@ -304,11 +305,11 @@ let () =
              static-analysis pass.  $(b,deterministic) and $(b,throughput) \
              instead run one plain codec-fed exploration per entry and print \
              states, depth, throughput and the verdict: deterministic keeps \
-             the full seen-table (level-synchronized parallel BFS), \
-             throughput stores only 128-bit fingerprints and, at --jobs > 1 \
-             without --max-depth, switches to the barrier-free sharded \
-             engine.  Clean exhaustive runs visit the same graph in every \
-             mode, so counts and verdicts agree.")
+             the full seen-table (with --jobs > 1, the parallel engine runs \
+             one epoch per BFS level), throughput stores only 128-bit \
+             fingerprints and, at --jobs > 1 without --max-depth, runs the \
+             parallel engine barrier-free.  Clean exhaustive runs visit the \
+             same graph in every mode, so counts and verdicts agree.")
   in
   let reduce =
     Arg.(

@@ -39,8 +39,8 @@ let run_entry (Analysis.Registry.Entry e) ~steps ~seed ~explore ~reduce
   if explore && mode <> `Analysis then begin
     (* Raw engine run, as bin/analyze --mode: no analysis passes, just the
        exploration with the event stream, counters and profile attached —
-       `throughput` at jobs > 1 exercises the barrier-free sharded
-       engine. *)
+       at jobs > 1 `deterministic` runs the parallel engine in per-level
+       epochs, `throughput` barrier-free. *)
     let max_states =
       match max_states with Some n -> n | None -> e.max_states
     in
@@ -327,11 +327,12 @@ let () =
           ~doc:
             "With --explore: $(b,analysis) (default) runs the full analyzer \
              pass; $(b,deterministic) and $(b,throughput) run one raw \
-             exploration on the corresponding engine instead — at --jobs > 1 \
-             throughput uses the barrier-free sharded engine, so its \
-             progress events, explorer.handoff_batches / ring_full_stalls \
-             counters and route/flush/idle profile phases show up in the \
-             stream and summary.")
+             exploration in that mode instead.  At --jobs > 1 both run the \
+             parallel engine (deterministic with one epoch per BFS level, \
+             throughput barrier-free), so its progress events, \
+             explorer.handoff_batches / ring_full_stalls counters and \
+             route/flush/idle (plus barrier-wait) profile phases show up in \
+             the stream and summary.")
   in
   let procs =
     Arg.(value & opt int 10 & info [ "n"; "procs" ] ~docv:"N" ~doc:"Universe size.")
@@ -352,10 +353,10 @@ let () =
       & info [ "profile" ]
           ~doc:
             "Attach the scoped-phase profiler: per-worker expand / \
-             fingerprint / dedup / barrier-wait / steal attribution for \
-             --entry --explore, send / retransmit / deliver for the \
-             vs-stack scenarios.  Prints the report and folds it into the \
-             metrics summary as gauges.")
+             fingerprint / dedup / route / flush / idle / barrier-wait \
+             attribution for --entry --explore, send / retransmit / deliver \
+             for the vs-stack scenarios.  Prints the report and folds it \
+             into the metrics summary as gauges.")
   in
   let term =
     Term.(

@@ -153,11 +153,12 @@ type raw = {
     states are fingerprinted from their flat {!Check.Codec} encoding;
     [~mode:`Throughput] additionally switches the explorer to the
     hash-compacted seen-set ({!Check.Explorer.run}'s [?mode]), and — at
-    [jobs > 1] without a depth bound — to the barrier-free sharded engine.
-    On clean exhaustive runs the explored graph and all verdicts are
-    identical across the two modes by construction (what the parity suite
-    asserts); sharded truncated runs keep exact state counts but a
-    scheduling-dependent prefix, and sharded depths are discovery depths.
+    [jobs > 1] without a depth bound — drops the parallel engine's level
+    epochs (barrier-free).  On clean exhaustive runs the explored graph
+    and all verdicts are identical across the two modes by construction
+    (what the parity suite asserts); parallel truncated runs keep exact
+    state counts but a scheduling-dependent prefix, and barrier-free
+    depths are discovery depths.
     [~use_codec:false] is the string-keyed baseline; on entries with
     RNG-gated generators its explored graph differs from the codec-fed one
     (the per-state RNG is seeded from the fingerprint), so cross-source

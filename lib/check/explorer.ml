@@ -34,19 +34,17 @@ let component = "check.explorer"
    stepping ("expand"), flat codec serialization ("encode" — only the
    codec path spends time here; the string path renders inside
    "fingerprint"), key digesting ("fingerprint") and the seen-set
-   section ("dedup") are common to every engine.  The level-synchronized
-   engine adds its synchronization costs — "barrier-wait" (per-level
-   domain spawn gap + end-of-level idle) and "steal" (cross-slice
-   frontier claiming); the sharded barrier-free engine instead charges
-   "route" (pushing successor batches into other workers' rings,
-   including full-ring retries), "flush" (draining the own inbound ring)
-   and "idle" (spinning at an empty frontier waiting for handoffs or
-   global quiescence).  Nested phases pause the enclosing one, so the
-   attributions stay disjoint. *)
+   section ("dedup") are common to both engines.  The parallel engine
+   adds its coordination costs: "route" (pushing successor batches into
+   other workers' rings, including full-ring retries), "flush" (draining
+   the own inbound ring), "idle" (spinning at an empty frontier while
+   handoffs are still in flight) and "barrier-wait" (waiting at a level
+   epoch for the slowest worker; epoch runs only).  Nested phases pause
+   the enclosing one, so the attributions stay disjoint. *)
 let prof_phases =
   [
-    "expand"; "encode"; "fingerprint"; "dedup"; "barrier-wait"; "steal";
-    "route"; "flush"; "idle";
+    "expand"; "encode"; "fingerprint"; "dedup"; "route"; "flush"; "idle";
+    "barrier-wait";
   ]
 
 let profile ~jobs =
@@ -61,23 +59,37 @@ let progress_event sink (stats : stats) ~frontier =
       ("depth", Obs.Trace.Int stats.depth);
     ]
 
-(* Parallel-engine tuning.  The seen-set is striped over [shard_count]
-   mutexes, indexed by the fingerprint's high lane (decorrelated from the
-   per-shard table hash, which folds the low lane); frontier slices are
-   claimed in blocks of [steal_block] entries so one fetch-and-add
-   amortizes over many expansions. *)
-let shard_count = 64
-let steal_block = 32
-
-(* Sharded-engine tuning (the barrier-free throughput engine): successors
-   bound for another worker accumulate in a per-destination buffer until
-   [flush_batch] of them hand off as a single ring push; [ring_capacity]
-   bounds each worker's inbound ring in batches (a full ring reports a
-   stall instead of blocking); [expand_chunk] paces how many frontier
-   entries a worker expands between drains of its inbound ring. *)
+(* Parallel-engine tuning: successors bound for another worker accumulate
+   in a per-destination buffer until [flush_batch] of them hand off as a
+   single ring push; [ring_capacity] bounds each worker's inbound ring in
+   batches (a full ring reports a stall instead of blocking);
+   [expand_chunk] paces how many frontier entries a worker expands
+   between drains of its inbound ring. *)
 let flush_batch = 64
 let ring_capacity = 256
 let expand_chunk = 64
+
+(* Waits until [ready ()] by spinning.  With [~sleepy] (more workers than
+   cores) it backs off to short sleeps after [spin_limit] polls, so a
+   worker waiting on a descheduled peer hands its core over instead of
+   spinning out its time slice.  With an epoch barrier per BFS level this
+   matters on deep graphs: a 10,000-level chain at jobs:4 on a 2-vCPU VM
+   takes 2.7 s with the back-off and 113 s without. *)
+let spin_limit = 1024
+
+let await ~sleepy ready =
+  let rec poll k =
+    if not (ready ()) then
+      if sleepy && k >= spin_limit then begin
+        Unix.sleepf 50e-6;
+        poll k
+      end
+      else begin
+        Domain.cpu_relax ();
+        poll (k + 1)
+      end
+  in
+  poll 0
 
 let run (type s a)
     (module A : Ioa.Automaton.GENERATIVE with type state = s and type action = a)
@@ -107,11 +119,10 @@ let run (type s a)
   let ph_encode = iphase "encode" in
   let ph_fp = iphase "fingerprint" in
   let ph_dedup = iphase "dedup" in
-  let ph_barrier = iphase "barrier-wait" in
-  let ph_steal = iphase "steal" in
   let ph_route = iphase "route" in
   let ph_flush = iphase "flush" in
   let ph_idle = iphase "idle" in
+  let ph_barrier = iphase "barrier-wait" in
   let pf_enter, pf_leave =
     match prof with
     | Some p -> (Obs.Prof.enter p, Obs.Prof.leave p)
@@ -136,9 +147,6 @@ let run (type s a)
      of the state — visit order is scheduling-dependent — so [jobs > 1]
      forces the per-state RNG discipline on. *)
   let state_rng = jobs > 1 || Option.value state_rng ~default:false in
-  (* Retain representative states only when auditing the key function; plain
-     exploration keeps the table light by storing [init] for every slot. *)
-  let retain = Option.is_some check_key in
   let check_state index state =
     List.find_opt
       (fun inv -> not (inv.Ioa.Invariant.holds state))
@@ -180,48 +188,218 @@ let run (type s a)
      representative, so the [!=] below counts genuine collapses only. *)
   let init = match canon with Some f -> f init | None -> init in
   let init_fp = fingerprint ~slot:0 init in
-  let finalize ~stats ~violation ~violation_step ~step_failure ~key_clash
-      ~trace:trace_opt ~steals ~contention ~por_skipped ~orbit_collapsed =
-    (match sink with
-    | None -> ()
-    | Some s ->
-        Obs.Trace.point s ~component ~cls:"done"
-          [
-            ("states", Obs.Trace.Int stats.states);
-            ("transitions", Obs.Trace.Int stats.transitions);
-            ("depth", Obs.Trace.Int stats.depth);
-            ("truncated", Obs.Trace.Bool stats.truncated);
-          ]);
-    (match metrics with
-    | None -> ()
-    | Some m ->
-        Obs.Metrics.incr ~by:stats.states m "explorer.states";
-        Obs.Metrics.incr ~by:stats.transitions m "explorer.transitions";
-        Obs.Metrics.set m "explorer.depth" (float_of_int stats.depth);
-        Obs.Metrics.set m "explorer.workers" (float_of_int jobs);
-        Obs.Metrics.incr ~by:steals m "explorer.steals";
-        Obs.Metrics.incr ~by:contention m "explorer.shard_contention";
-        (match ample with
-        | None -> ()
-        | Some _ -> Obs.Metrics.incr ~by:por_skipped m "explorer.por_skipped");
-        (match canon with
-        | None -> ()
-        | Some _ ->
-            Obs.Metrics.incr ~by:orbit_collapsed m "explorer.orbit_collapsed");
-        if stats.truncated then Obs.Metrics.incr m "explorer.truncated");
+  (* ---------------- shared run state ------------------------------ *)
+  (* Both engines count, cut and record through the same cells; the
+     sequential engine is simply the parallel one's single worker without
+     rings, so every reservation and result below is also correct when
+     several domains race on it.  [stop] is raised by the first
+     violation, step failure, key clash or truncation, and by the last
+     level epoch of a parallel run. *)
+  let stop = Atomic.make false in
+  let truncated = Atomic.make false in
+  let states = Atomic.make 0 in
+  let expanded = Atomic.make 0 in
+  let por_skipped = Atomic.make 0 in
+  let orbit_collapsed = Atomic.make 0 in
+  let transitions = Array.make jobs 0 in
+  let max_depths = Array.make jobs 0 in
+  let current_stats () =
     {
-      stats;
-      violation;
-      violation_step;
-      step_failure;
-      key_clash;
-      trace =
-        Option.map
-          (fun parents -> { trace_parents = parents; trace_init = init_fp })
-          trace_opt;
-      por_skipped;
-      orbit_collapsed;
+      states = Atomic.get states;
+      transitions = Array.fold_left ( + ) 0 transitions;
+      depth = Array.fold_left max 0 max_depths;
+      truncated = Atomic.get truncated;
     }
+  in
+  let result_mu = Mutex.create () in
+  let violation = ref None in
+  let violation_step = ref None in
+  let step_failure = ref None in
+  let key_clash = ref None in
+  let record cell v =
+    Mutex.protect result_mu (fun () ->
+        if Option.is_none !cell then cell := Some v);
+    Atomic.set stop true
+  in
+  (* The violation and its incoming transition must be published as one
+     unit: a racing worker's violation must not pair with ours. *)
+  let record_violation v vstep =
+    Mutex.protect result_mu (fun () ->
+        if Option.is_none !violation then begin
+          violation := Some v;
+          violation_step := vstep
+        end);
+    Atomic.set stop true
+  in
+  (* Serializes the [observe] callback and trace emission: neither the
+     analyzer's observation accumulator nor the sink implementations are
+     required to be thread-safe. *)
+  let aux_mu = Mutex.create () in
+  let serialized f = if jobs = 1 then f () else Mutex.protect aux_mu f in
+  (* One seen-set shard per worker, touched only by its owner.  Under
+     [`Deterministic] a table keeps a representative per fingerprint —
+     the state itself when [check_key] audits the dedup, [init]
+     otherwise — and every hit is compared against it: a collision
+     between states the equality distinguishes means the dedup merged
+     genuinely different states, whether because [key] is not injective
+     or because two keys share a fingerprint, and the exploration is
+     unsound.  [`Throughput] hash-compacts to bare fingerprints instead
+     (a collision silently merges — the mode trades the audit away for
+     16 bytes/state).  [true] iff the fingerprint is new. *)
+  let seen =
+    Array.init jobs (fun _ ->
+        if throughput then
+          let set = Fingerprint.Set.create ~capacity:4096 () in
+          fun fp _ -> Fingerprint.Set.add set fp
+        else
+          let reps = Fingerprint.Table.create 4096 in
+          fun fp state ->
+            match Fingerprint.Table.find_opt reps fp with
+            | Some rep ->
+                (match check_key with
+                | Some equal when not (equal rep state) ->
+                    record key_clash (rep, state)
+                | Some _ | None -> ());
+                false
+            | None ->
+                Fingerprint.Table.add reps fp
+                  (if Option.is_some check_key then state else init);
+                true)
+  in
+  (* Per-shard predecessor tables, written by the owner alongside the
+     seen-set entry they describe; merged into one table at the end. *)
+  let parents =
+    if trace then
+      Some (Array.init jobs (fun _ -> Fingerprint.Table.create 4096))
+    else None
+  in
+  (* Admission, called only from the shard's owning worker (or from the
+     main domain for [init], before any worker is spawned).  [via] is how
+     the state was first reached: the predecessor's fingerprint, the
+     action's index in the predecessor's enabled list (the hint Cex
+     reconstruction tries first), and the concrete transition (for
+     [violation_step]).  Slot [max_states + 1] is the crossing state —
+     counted and invariant-checked but never expanded — and any racing
+     reservation beyond it is handed back, so the final count is exact.
+     States at [max_depth] are counted and checked but not expanded
+     either.  [true] iff the state belongs on a frontier. *)
+  let admit ~slot depth state fp via =
+    pf_enter ~slot ph_dedup;
+    let fresh = seen.(slot) fp state in
+    (match (parents, via) with
+    | Some ps, Some (pfp, idx, _, _) when fresh ->
+        Fingerprint.Table.replace ps.(slot) fp (pfp, idx)
+    | _ -> ());
+    pf_leave ~slot ph_dedup;
+    fresh
+    && begin
+         let n = Atomic.fetch_and_add states 1 + 1 in
+         if n > max_states + 1 then begin
+           ignore (Atomic.fetch_and_add states (-1));
+           false
+         end
+         else begin
+           if depth > max_depths.(slot) then max_depths.(slot) <- depth;
+           match check_state n state with
+           | Some v ->
+               record_violation v
+                 (Option.map
+                    (fun (_, _, pre, action) ->
+                      { Ioa.Exec.pre; action; post = state })
+                    via);
+               false
+           | None ->
+               if n > max_states then begin
+                 Atomic.set truncated true;
+                 Atomic.set stop true;
+                 false
+               end
+               else
+                 match max_depth with Some d -> depth < d | None -> true
+         end
+       end
+  in
+  let progress ~frontier =
+    serialized (fun () ->
+        (match sink with
+        | Some s ->
+            progress_event s (current_stats ()) ~frontier;
+            Option.iter
+              (fun p ->
+                Obs.Prof.heartbeat p s ~component ~states:(Atomic.get states))
+              prof
+        | None -> ());
+        Option.iter
+          (fun m ->
+            Obs.Metrics.observe m "explorer.frontier" (float_of_int frontier))
+          metrics)
+  in
+  (* One expansion, common to both engines: candidates, the enabled
+     filter, [observe], the [ample] filter, then every fired transition
+     is stepped, checked, canonicalized and fingerprinted, and handed to
+     [emit] with its [via] tuple. *)
+  let expand ~slot ~rng ~frontier depth state fp emit =
+    if (Atomic.fetch_and_add expanded 1 + 1) mod progress_every = 0 then
+      progress ~frontier;
+    pf_enter ~slot ph_expand;
+    let lat0 = latency_t0 () in
+    let candidates = A.candidates rng state in
+    let actions = List.filter (A.enabled state) candidates in
+    Option.iter
+      (fun f ->
+        serialized (fun () ->
+            f
+              {
+                obs_state = state;
+                obs_depth = depth;
+                obs_candidates = candidates;
+                obs_enabled = actions;
+              }))
+      observe;
+    (* The ample filter sees the full enabled list (observers above
+       already did too) and returns the subset to fire; [None] means the
+       static facts were inconclusive here — expand fully. *)
+    let fired =
+      match ample with
+      | None -> actions
+      | Some f -> (
+          match f state actions with
+          | None -> actions
+          | Some sub ->
+              ignore
+                (Atomic.fetch_and_add por_skipped
+                   (List.length actions - List.length sub));
+              sub)
+    in
+    List.iteri
+      (fun idx action ->
+        if not (Atomic.get stop) then begin
+          let post = A.step state action in
+          transitions.(slot) <- transitions.(slot) + 1;
+          (match check_step with
+          | None -> ()
+          | Some f -> (
+              let step = { Ioa.Exec.pre = state; action; post } in
+              match f step with
+              | Ok () -> ()
+              | Error msg -> record step_failure (step, msg)));
+          if not (Atomic.get stop) then begin
+            let post =
+              match canon with
+              | None -> post
+              | Some f ->
+                  let rep = f post in
+                  if rep != post then Atomic.incr orbit_collapsed;
+                  rep
+            in
+            emit (depth + 1) post
+              (fingerprint ~slot post)
+              (fp, idx, state, action)
+          end
+        end)
+      fired;
+    obs_latency lat0;
+    pf_leave ~slot ph_expand
   in
   if jobs = 1 then begin
     (* ---------------- sequential engine ---------------------------- *)
@@ -230,296 +408,80 @@ let run (type s a)
        state's fingerprint (the discipline the parallel engine uses), so
        the explored graph is identical at every job count. *)
     let rng = Random.State.make seed in
-    let seen : s Fingerprint.Table.t =
-      Fingerprint.Table.create (if throughput then 1 else 4096)
-    in
-    let compacted =
-      if throughput then Some (Fingerprint.Set.create ~capacity:4096 ())
-      else None
-    in
-    let parents =
-      if trace then Some (Fingerprint.Table.create 4096) else None
-    in
     let queue : (int * s * Fingerprint.t) Queue.t = Queue.create () in
-    let stats =
-      ref { states = 0; transitions = 0; depth = 0; truncated = false }
+    let push depth state fp via =
+      if admit ~slot:0 depth state fp via then
+        Queue.add (depth, state, fp) queue
     in
-    let violation = ref None in
-    let violation_step = ref None in
-    let step_failure = ref None in
-    let key_clash = ref None in
-    let por_skipped = ref 0 in
-    let orbit_collapsed = ref 0 in
-    (* [via] is how the state was first reached: the predecessor's
-       fingerprint, the action's index in the predecessor's enabled list
-       (the hint Cex reconstruction tries first), and the concrete
-       transition (for [violation_step]). *)
-    let push ?via depth state =
-      let state =
-        match canon with
-        | None -> state
-        | Some f ->
-            let rep = f state in
-            if rep != state then incr orbit_collapsed;
-            rep
-      in
-      let fp = fingerprint ~slot:0 state in
-      pf_enter ~slot:0 ph_dedup;
-      let fresh =
-        match compacted with
-        | Some set ->
-            (* Hash compaction: membership on the bare fingerprint, no
-               representative retained.  A collision silently merges — the
-               mode trades the [check_key] audit away for 16 bytes/state. *)
-            Fingerprint.Set.add set fp
-        | None -> (
-            match Fingerprint.Table.find_opt seen fp with
-            | Some rep ->
-                (* Audit the key function when an equality is available: a
-                   collision between states the equality distinguishes means
-                   the dedup merged genuinely different states — whether
-                   because [key] is not injective or because two keys share a
-                   fingerprint — and the exploration is unsound. *)
-                (match check_key with
-                | Some equal when not (equal rep state) ->
-                    key_clash := Some (rep, state)
-                | Some _ | None -> ());
-                false
-            | None ->
-                Fingerprint.Table.add seen fp (if retain then state else init);
-                (match (parents, via) with
-                | Some tbl, Some (pfp, idx, _, _) ->
-                    Fingerprint.Table.replace tbl fp (pfp, idx)
-                | _ -> ());
-                true)
-      in
-      pf_leave ~slot:0 ph_dedup;
-      if fresh then begin
-        stats :=
-          {
-            !stats with
-            states = !stats.states + 1;
-            depth = max !stats.depth depth;
-          };
-        (* The state that crosses [max_states] is counted in [stats], so
-           it must be invariant-checked like every other visited state —
-           it is only exempt from expansion. *)
-        match check_state !stats.states state with
-        | Some v ->
-            violation := Some v;
-            violation_step :=
-              Option.map
-                (fun (_, _, pre, action) ->
-                  { Ioa.Exec.pre; action; post = state })
-                via
-        | None ->
-            if !stats.states > max_states then
-              stats := { !stats with truncated = true }
-            else Queue.add (depth, state, fp) queue
-      end
-    in
-    push 0 init;
-    let continue () =
-      Option.is_none !violation
-      && Option.is_none !step_failure
-      && Option.is_none !key_clash
-      && not !stats.truncated
-    in
-    let expanded = ref 0 in
-    let rec loop () =
-      if continue () && not (Queue.is_empty queue) then begin
-        let depth, state, fp = Queue.pop queue in
-        incr expanded;
-        if !expanded mod progress_every = 0 then begin
-          (match sink with
-          | Some s ->
-              progress_event s !stats ~frontier:(Queue.length queue);
-              (match prof with
-              | Some p ->
-                  Obs.Prof.heartbeat p s ~component ~states:!stats.states
-              | None -> ())
-          | None -> ());
-          match metrics with
-          | Some m ->
-              Obs.Metrics.observe m "explorer.frontier"
-                (float_of_int (Queue.length queue))
-          | None -> ()
-        end;
-        let expand =
-          match max_depth with Some d -> depth < d | None -> true
-        in
-        if expand then begin
-          pf_enter ~slot:0 ph_expand;
-          let lat0 = latency_t0 () in
-          let rng = if state_rng then state_rng_of fp else rng in
-          let candidates = A.candidates rng state in
-          let actions = List.filter (A.enabled state) candidates in
-          (match observe with
-          | None -> ()
-          | Some f ->
-              f
-                {
-                  obs_state = state;
-                  obs_depth = depth;
-                  obs_candidates = candidates;
-                  obs_enabled = actions;
-                });
-          (* The ample filter sees the full enabled list (observers above
-             already did too) and returns the subset to fire; [None] means
-             the static facts were inconclusive here — expand fully. *)
-          let fired =
-            match ample with
-            | None -> actions
-            | Some f -> (
-                match f state actions with
-                | None -> actions
-                | Some sub ->
-                    por_skipped :=
-                      !por_skipped + (List.length actions - List.length sub);
-                    sub)
-          in
-          List.iteri
-            (fun idx action ->
-              if continue () then begin
-                let post = A.step state action in
-                stats := { !stats with transitions = !stats.transitions + 1 };
-                (match check_step with
-                | None -> ()
-                | Some f -> (
-                    let step = { Ioa.Exec.pre = state; action; post } in
-                    match f step with
-                    | Ok () -> ()
-                    | Error msg -> step_failure := Some (step, msg)));
-                if continue () then
-                  push ~via:(fp, idx, state, action) (depth + 1) post
-              end)
-            fired;
-          obs_latency lat0;
-          pf_leave ~slot:0 ph_expand
-        end;
-        loop ()
-      end
-    in
-    loop ();
-    finalize ~stats:!stats ~violation:!violation
-      ~violation_step:!violation_step ~step_failure:!step_failure
-      ~key_clash:!key_clash ~trace:parents ~steals:0 ~contention:0
-      ~por_skipped:!por_skipped ~orbit_collapsed:!orbit_collapsed
+    let emit depth post fp via = push depth post fp (Some via) in
+    push 0 init init_fp None;
+    while (not (Atomic.get stop)) && not (Queue.is_empty queue) do
+      let depth, state, fp = Queue.pop queue in
+      let rng = if state_rng then state_rng_of fp else rng in
+      expand ~slot:0 ~rng ~frontier:(Queue.length queue) depth state fp emit
+    done
   end
-  else if throughput && max_depth = None then begin
-    (* ---------------- sharded barrier-free engine ------------------- *)
-    (* Throughput-mode parallel search without level barriers: the
-       fingerprint space is range-partitioned over the workers
+  else begin
+    (* ---------------- parallel engine ------------------------------ *)
+    (* The fingerprint space is range-partitioned over the workers
        ([Fingerprint.shard]), and each worker domain exclusively owns its
-       shard's seen-set — an unshared [Fingerprint.Set], no mutex, no
-       striping — plus a private frontier queue.  Successors that hash
-       into another worker's shard are batched per destination and handed
-       off through that worker's bounded MPSC {!Ring}; everything else
-       stays local.  Because admission always runs on the owning domain,
-       the dedup decision itself is single-threaded per shard; the only
+       shard of [seen] and [parents] plus a private frontier queue.
+       Successors that hash into another worker's shard are batched per
+       destination and handed off through that worker's bounded MPSC
+       {!Ring}, carrying their [via] tuple; everything else stays local.
+       Admission — dedup, the [check_key] audit, predecessor recording —
+       always runs on the owning domain and takes no lock; the only
        shared-write hot path left is the state-count reservation, one
        wait-free fetch-and-add per fresh state.
 
-       No barrier means no global depth discipline: a worker expands
-       whatever its frontier holds while handoffs stream in, so
-       [stats.depth] reports the maximum *discovery* depth — an upper
-       bound on the BFS eccentricity, tight only when shortest paths are
-       discovered first.  [max_depth] cuts need true BFS depths, so those
-       runs are routed to the level-synchronized engine (dispatch above).
-
-       Termination is distributed quiescence over one credit counter:
+       Termination is distributed quiescence over a credit counter:
        [pending] is incremented the moment a successor is routed (before
        it becomes visible anywhere) and decremented when its processing
        ends — duplicate, rejection, or completed expansion.  Workers
        flush their buffered handoffs before idling, so [pending = 0]
        means no frontier entry, ring entry, buffered handoff or in-flight
-       expansion exists anywhere: the global done condition.
+       expansion exists anywhere.
 
-       On exhaustive runs the explored graph is the same state set and
-       transition multiset as the other engines': per-state RNG makes
-       candidate draws order-independent, codec/key fingerprints agree,
-       and dedup classes are engine-invariant.  Only discovery order —
-       and with it [depth], and which states a [max_states] cut happens
-       to admit — is scheduling-dependent. *)
-    let seen =
-      Array.init jobs (fun _ -> Fingerprint.Set.create ~capacity:4096 ())
-    in
-    let rings : (int * s * Fingerprint.t * (s * a) option) array Ring.t array
-        =
+       Barrier-free runs ([`Throughput] without [max_depth]) end there:
+       a worker expands whatever its frontier holds while handoffs stream
+       in, so [stats.depth] reports the maximum {i discovery} depth — an
+       upper bound on the BFS eccentricity.  Epoch runs ([`Deterministic],
+       or any [max_depth]) separate BFS levels instead: a fresh state is
+       queued for the next level and its credit settled, so [pending = 0]
+       means level [d] is complete — every level-[d] expansion finished
+       and every handoff it made admitted.  Each worker then adds its
+       next-level size to the other parity's counter and arrives at the
+       epoch barrier; the last arrival ends the search if the next level
+       is empty and otherwise opens it.  Every state is thus admitted at
+       its true BFS depth and a [max_depth] cut is exact.  Workers live
+       for the whole run.  One that crossed the barrier early may already
+       hand level-[d + 1] work to one still waiting there; it sits in the
+       ring until its owner crosses, since the barrier never drains.
+
+       On exhaustive runs the explored graph is the sequential engine's
+       under [state_rng]: per-state RNG makes candidate draws
+       order-independent and dedup classes are engine-invariant.  Only
+       discovery order — and with it, barrier-free, [depth], and which
+       states a [max_states] cut happens to admit — is
+       scheduling-dependent. *)
+    let epochs = (not throughput) || Option.is_some max_depth in
+    let rings :
+        (int * s * Fingerprint.t * (Fingerprint.t * int * s * a) option) array
+        Ring.t
+        array =
       Array.init jobs (fun _ -> Ring.create ~capacity:ring_capacity)
     in
     let frontiers : (int * s * Fingerprint.t) Queue.t array =
       Array.init jobs (fun _ -> Queue.create ())
     in
-    let stop = Atomic.make false in
-    let truncated = Atomic.make false in
-    let states = Atomic.make 0 in
-    let pending = Atomic.make 0 in
-    let expanded = Atomic.make 0 in
+    (* [credits.(d land 1)] counts level [d]'s outstanding work; a
+       barrier-free run only ever uses slot 0. *)
+    let credits = [| Atomic.make 0; Atomic.make 0 |] in
+    let arrived = Atomic.make 0 in
+    let epoch = Atomic.make 0 in
+    let sleepy = jobs > Domain.recommended_domain_count () in
     let handoff_batches = Atomic.make 0 in
     let ring_full_stalls = Atomic.make 0 in
-    let por_skipped = Atomic.make 0 in
-    let orbit_collapsed = Atomic.make 0 in
-    let transitions = Array.make jobs 0 in
-    let max_depths = Array.make jobs 0 in
-    let result_mu = Mutex.create () in
-    let violation = ref None in
-    let violation_step = ref None in
-    let step_failure = ref None in
-    let record cell v =
-      Mutex.lock result_mu;
-      if Option.is_none !cell then cell := Some v;
-      Mutex.unlock result_mu;
-      Atomic.set stop true
-    in
-    let record_violation v vstep =
-      Mutex.lock result_mu;
-      if Option.is_none !violation then begin
-        violation := Some v;
-        violation_step := vstep
-      end;
-      Mutex.unlock result_mu;
-      Atomic.set stop true
-    in
-    let aux_mu = Mutex.create () in
-    (* Admission, called only from the shard's owning domain (or from the
-       main domain for [init], before any worker is spawned).  Slot
-       [max_states + 1] is the crossing state — counted and
-       invariant-checked but never expanded, matching the other engines —
-       and any racing reservation beyond it is handed back, so the final
-       count is exact.  [true] iff the state belongs on the owner's
-       frontier. *)
-    let admit ~wid depth state fp via =
-      pf_enter ~slot:wid ph_dedup;
-      let fresh = Fingerprint.Set.add seen.(wid) fp in
-      pf_leave ~slot:wid ph_dedup;
-      fresh
-      && begin
-           let n = Atomic.fetch_and_add states 1 + 1 in
-           if n > max_states + 1 then begin
-             ignore (Atomic.fetch_and_add states (-1));
-             false
-           end
-           else begin
-             if depth > max_depths.(wid) then max_depths.(wid) <- depth;
-             match check_state n state with
-             | Some v ->
-                 record_violation v
-                   (Option.map
-                      (fun (pre, action) ->
-                        { Ioa.Exec.pre; action; post = state })
-                      via);
-                 false
-             | None ->
-                 if n > max_states then begin
-                   Atomic.set truncated true;
-                   Atomic.set stop true;
-                   false
-                 end
-                 else true
-           end
-         end
-    in
     let worker wid () =
       let alloc0 =
         match prof with
@@ -527,14 +489,21 @@ let run (type s a)
         | _ -> 0.
       in
       let frontier = frontiers.(wid) in
+      let next = if epochs then Queue.create () else frontier in
       let ring = rings.(wid) in
-      let outbuf : (int * s * Fingerprint.t * (s * a) option) list array =
-        Array.make jobs []
+      let level = ref 0 in
+      let pending = ref credits.(0) in
+      (* A fresh state's credit carries over to its frontier entry when
+         barrier-free; under epochs it settles here, and the next level's
+         credit is added in bulk at the barrier. *)
+      let enqueue entry =
+        Queue.add entry next;
+        if epochs then Atomic.decr !pending
       in
+      let outbuf = Array.make jobs [] in
       let outcount = Array.make jobs 0 in
       (* Drains the inbound ring: each popped batch is admitted against
-         the own shard; a fresh state keeps its credit (it now stands for
-         the frontier entry), everything else settles it here. *)
+         the own shard. *)
       let drain_own () =
         if not (Ring.is_empty ring) then begin
           pf_enter ~slot:wid ph_flush;
@@ -546,9 +515,9 @@ let run (type s a)
                   (fun (depth, state, fp, via) ->
                     if
                       (not (Atomic.get stop))
-                      && admit ~wid depth state fp via
-                    then Queue.add (depth, state, fp) frontier
-                    else Atomic.decr pending)
+                      && admit ~slot:wid depth state fp via
+                    then enqueue (depth, state, fp)
+                    else Atomic.decr !pending)
                   batch;
                 go ()
           in
@@ -564,7 +533,7 @@ let run (type s a)
           outcount.(dest) <- 0;
           let rec push () =
             if Atomic.get stop then
-              ignore (Atomic.fetch_and_add pending (-Array.length batch))
+              ignore (Atomic.fetch_and_add !pending (-Array.length batch))
             else if Ring.try_push rings.(dest) batch then begin
               Atomic.incr handoff_batches;
               match metrics with
@@ -595,22 +564,13 @@ let run (type s a)
       (* Routes one successor: credit first (before it becomes visible
          anywhere), then local admission or a buffered handoff toward the
          owning shard. *)
-      let route depth post via =
-        let post =
-          match canon with
-          | None -> post
-          | Some f ->
-              let rep = f post in
-              if rep != post then Atomic.incr orbit_collapsed;
-              rep
-        in
-        let fp = fingerprint ~slot:wid post in
+      let route depth post fp via =
         let dest = Fingerprint.shard fp ~shards:jobs in
-        Atomic.incr pending;
+        Atomic.incr !pending;
         if dest = wid then begin
-          if admit ~wid depth post fp (Some via) then
-            Queue.add (depth, post, fp) frontier
-          else Atomic.decr pending
+          if admit ~slot:wid depth post fp (Some via) then
+            enqueue (depth, post, fp)
+          else Atomic.decr !pending
         end
         else begin
           outbuf.(dest) <- (depth, post, fp, Some via) :: outbuf.(dest);
@@ -618,72 +578,25 @@ let run (type s a)
           if outcount.(dest) >= flush_batch then flush_dest dest
         end
       in
-      let expand depth state fp =
-        let n = Atomic.fetch_and_add expanded 1 + 1 in
-        (match sink with
-        | Some s when n mod progress_every = 0 ->
-            Mutex.lock aux_mu;
-            progress_event s
-              {
-                states = Atomic.get states;
-                transitions = Array.fold_left ( + ) 0 transitions;
-                depth = Array.fold_left max 0 max_depths;
-                truncated = Atomic.get truncated;
-              }
-              ~frontier:(Queue.length frontier);
-            (match prof with
-            | Some p ->
-                Obs.Prof.heartbeat p s ~component ~states:(Atomic.get states)
-            | None -> ());
-            Mutex.unlock aux_mu
-        | Some _ | None -> ());
-        pf_enter ~slot:wid ph_expand;
-        let lat0 = latency_t0 () in
-        let rng = state_rng_of fp in
-        let candidates = A.candidates rng state in
-        let actions = List.filter (A.enabled state) candidates in
-        (match observe with
-        | None -> ()
-        | Some f ->
-            Mutex.lock aux_mu;
-            f
-              {
-                obs_state = state;
-                obs_depth = depth;
-                obs_candidates = candidates;
-                obs_enabled = actions;
-              };
-            Mutex.unlock aux_mu);
-        let fired =
-          match ample with
-          | None -> actions
-          | Some f -> (
-              match f state actions with
-              | None -> actions
-              | Some sub ->
-                  Atomic.fetch_and_add por_skipped
-                    (List.length actions - List.length sub)
-                  |> ignore;
-                  sub)
-        in
-        List.iter
-          (fun action ->
-            if not (Atomic.get stop) then begin
-              let post = A.step state action in
-              transitions.(wid) <- transitions.(wid) + 1;
-              (match check_step with
-              | None -> ()
-              | Some f -> (
-                  let step = { Ioa.Exec.pre = state; action; post } in
-                  match f step with
-                  | Ok () -> ()
-                  | Error msg -> record step_failure (step, msg)));
-              if not (Atomic.get stop) then
-                route (depth + 1) post (state, action)
-            end)
-          fired;
-        obs_latency lat0;
-        pf_leave ~slot:wid ph_expand
+      (* The epoch barrier, entered with an empty frontier once the level's
+         credit reached zero.  [epoch] is read before arriving: it can
+         only move once every worker, this one included, has arrived. *)
+      let next_level () =
+        let credit = credits.((!level + 1) land 1) in
+        ignore (Atomic.fetch_and_add credit (Queue.length next));
+        Queue.transfer next frontier;
+        pf_enter ~slot:wid ph_barrier;
+        let e = Atomic.get epoch in
+        if Atomic.fetch_and_add arrived 1 = jobs - 1 then begin
+          Atomic.set arrived 0;
+          if Atomic.get credit = 0 then Atomic.set stop true;
+          Atomic.incr epoch
+        end
+        else
+          await ~sleepy (fun () -> Atomic.get epoch <> e || Atomic.get stop);
+        pf_leave ~slot:wid ph_barrier;
+        incr level;
+        pending := credit
       in
       let rec loop () =
         if not (Atomic.get stop) then begin
@@ -696,8 +609,9 @@ let run (type s a)
               && not (Atomic.get stop)
             do
               let depth, state, fp = Queue.pop frontier in
-              expand depth state fp;
-              Atomic.decr pending;
+              expand ~slot:wid ~rng:(state_rng_of fp)
+                ~frontier:(Queue.length frontier) depth state fp route;
+              Atomic.decr !pending;
               incr k
             done;
             flush_all ();
@@ -705,20 +619,21 @@ let run (type s a)
           end
           else begin
             flush_all ();
-            if Atomic.get pending > 0 then begin
+            if Atomic.get !pending > 0 then begin
               (* Nothing local but work exists elsewhere: spin until a
-                 handoff arrives or the system quiesces.  Our outbufs
-                 were flushed above, so every credit we raised is
+                 handoff arrives or the level (or search) quiesces.  Our
+                 outbufs were flushed above, so every credit we raised is
                  visible to whoever holds the matching work. *)
               pf_enter ~slot:wid ph_idle;
-              while
-                (not (Atomic.get stop))
-                && Atomic.get pending > 0
-                && Ring.is_empty ring
-              do
-                Domain.cpu_relax ()
-              done;
+              await ~sleepy (fun () ->
+                  Atomic.get stop
+                  || Atomic.get !pending = 0
+                  || not (Ring.is_empty ring));
               pf_leave ~slot:wid ph_idle;
+              loop ()
+            end
+            else if epochs then begin
+              next_level ();
               loop ()
             end
           end
@@ -731,430 +646,65 @@ let run (type s a)
       | _ -> ()
     in
     let init_owner = Fingerprint.shard init_fp ~shards:jobs in
-    Atomic.incr pending;
-    if admit ~wid:init_owner 0 init init_fp None then
+    if admit ~slot:init_owner 0 init init_fp None then begin
+      Atomic.incr credits.(0);
       Queue.add (0, init, init_fp) frontiers.(init_owner)
-    else Atomic.decr pending;
+    end;
     let domains =
       Array.init (jobs - 1) (fun i ->
           Domain.spawn (fun () -> worker (i + 1) ()))
     in
     worker 0 ();
     Array.iter Domain.join domains;
-    (match metrics with
-    | Some m ->
+    Option.iter
+      (fun m ->
         Obs.Metrics.incr ~by:(Atomic.get handoff_batches) m
           "explorer.handoff_batches";
         Obs.Metrics.incr ~by:(Atomic.get ring_full_stalls) m
-          "explorer.ring_full_stalls"
-    | None -> ());
-    let stats =
-      {
-        states = Atomic.get states;
-        transitions = Array.fold_left ( + ) 0 transitions;
-        depth = Array.fold_left max 0 max_depths;
-        truncated = Atomic.get truncated;
-      }
-    in
-    finalize ~stats ~violation:!violation ~violation_step:!violation_step
-      ~step_failure:!step_failure ~key_clash:None ~trace:None ~steals:0
-      ~contention:0 ~por_skipped:(Atomic.get por_skipped)
-      ~orbit_collapsed:(Atomic.get orbit_collapsed)
-  end
-  else begin
-    (* ---------------- parallel engine ------------------------------ *)
-    (* Level-synchronized BFS over OCaml 5 domains: all states at depth [d]
-       are expanded (by any worker) before any state at depth [d + 1], so a
-       state is always admitted at its true BFS depth and the [max_depth]
-       cut is independent of scheduling.  Within a level, each worker
-       drains its own frontier slice and steals block-wise from the others
-       when it runs dry. *)
-    let module T = Fingerprint.Table in
-    let shards =
-      Array.init shard_count (fun _ ->
-          (Mutex.create (), T.create (if throughput then 1 else 1024)))
-    in
-    (* Throughput mode swaps each shard's state table for a hash-compacted
-       fingerprint set, behind the same mutex stripe. *)
-    let compacted_shards =
-      if throughput then
-        Some
-          (Array.init shard_count (fun _ ->
-               Fingerprint.Set.create ~capacity:1024 ()))
-      else None
-    in
-    (* Per-shard predecessor tables, guarded by the same shard mutex as the
-       seen-set entry they describe; merged into one table at the end. *)
-    let parent_shards =
-      if trace then
-        Some (Array.init shard_count (fun _ -> T.create 256))
-      else None
-    in
-    let stop = Atomic.make false in
-    let truncated = Atomic.make false in
-    let states = Atomic.make 0 in
-    let depth_seen = Atomic.make 0 in
-    let transitions = Array.make jobs 0 in
-    let steals = Atomic.make 0 in
-    let contention = Atomic.make 0 in
-    let expanded = Atomic.make 0 in
-    let por_skipped = Atomic.make 0 in
-    let orbit_collapsed = Atomic.make 0 in
-    let result_mu = Mutex.create () in
-    let violation = ref None in
-    let violation_step = ref None in
-    let step_failure = ref None in
-    let key_clash = ref None in
-    let record cell v =
-      Mutex.lock result_mu;
-      if Option.is_none !cell then cell := Some v;
-      Mutex.unlock result_mu;
-      Atomic.set stop true
-    in
-    (* The violation and its incoming transition must be published as one
-       unit: a racing worker's violation must not pair with ours. *)
-    let record_violation v vstep =
-      Mutex.lock result_mu;
-      if Option.is_none !violation then begin
-        violation := Some v;
-        violation_step := vstep
-      end;
-      Mutex.unlock result_mu;
-      Atomic.set stop true
-    in
-    (* Serializes the [observe] callback and trace emission: neither the
-       analyzer's observation accumulator nor the sink implementations are
-       required to be thread-safe. *)
-    let aux_mu = Mutex.create () in
-    let rec bump_depth d =
-      let cur = Atomic.get depth_seen in
-      if d > cur && not (Atomic.compare_and_set depth_seen cur d) then
-        bump_depth d
-    in
-    let total_transitions () = Array.fold_left ( + ) 0 transitions in
-    let rec reserve () =
-      let cur = Atomic.get states in
-      if cur > max_states then None
-      else if Atomic.compare_and_set states cur (cur + 1) then Some (cur + 1)
-      else reserve ()
-    in
-    (* Batched admission: one expansion's successors (already canonicalized
-       and fingerprinted) are grouped by seen-set stripe so each stripe
-       mutex is locked once per distinct stripe instead of once per
-       successor — with larger claim blocks this took the stripe mutexes
-       off the top of the profile.  Under the lock each state is deduped,
-       reserved (the slot numbered [max_states + 1] is the crossing state:
-       counted and invariant-checked, never expanded — exactly the
-       sequential truncation semantics) and inserted; invariant checks and
-       the key-clash audit run after the stripe unlocks.  Fresh states
-       that belong in the next level are pushed onto [buf].  The explored
-       graph and all counts on runs that do not stop early are identical
-       to per-successor admission — only lock traffic changes. *)
-    let admit_batch ~wid sdepth items buf =
-      let groups = ref [] in
-      List.iter
-        (fun ((fp, _, _) as it) ->
-          let sh = Int64.to_int fp.Fingerprint.hi land (shard_count - 1) in
-          match List.assq_opt sh !groups with
-          | Some r -> r := it :: !r
-          | None -> groups := (sh, ref [ it ]) :: !groups)
-        items;
-      List.iter
-        (fun (sh, ritems) ->
-          if not (Atomic.get stop) then begin
-            let mu, tbl = shards.(sh) in
-            pf_enter ~slot:wid ph_dedup;
-            if not (Mutex.try_lock mu) then begin
-              Atomic.incr contention;
-              Mutex.lock mu
-            end;
-            let outcomes =
-              List.rev_map
-                (fun (fp, state, via) ->
-                  let o =
-                    match compacted_shards with
-                    | Some cs ->
-                        if Fingerprint.Set.add cs.(sh) fp then
-                          `Fresh (reserve ())
-                        else `Dup None
-                    | None -> (
-                        match T.find_opt tbl fp with
-                        | Some rep -> `Dup (Some rep)
-                        | None -> (
-                            match reserve () with
-                            | None -> `Fresh None
-                            | Some n ->
-                                T.add tbl fp (if retain then state else init);
-                                (match (parent_shards, via) with
-                                | Some ps, Some (pfp, idx, _, _) ->
-                                    T.replace ps.(sh) fp (pfp, idx)
-                                | _ -> ());
-                                `Fresh (Some n)))
-                  in
-                  (fp, state, via, o))
-                !ritems
-            in
-            Mutex.unlock mu;
-            pf_leave ~slot:wid ph_dedup;
-            List.iter
-              (fun (fp, state, via, o) ->
-                match o with
-                | `Dup rep_opt -> (
-                    match (check_key, rep_opt) with
-                    | Some equal, Some rep when not (equal rep state) ->
-                        record key_clash (rep, state)
-                    | _ -> ())
-                | `Fresh None -> ()
-                | `Fresh (Some n) -> (
-                    bump_depth sdepth;
-                    match check_state n state with
-                    | Some v ->
-                        record_violation v
-                          (Option.map
-                             (fun (_, _, pre, action) ->
-                               { Ioa.Exec.pre; action; post = state })
-                             via)
-                    | None ->
-                        if n > max_states then begin
-                          Atomic.set truncated true;
-                          Atomic.set stop true
-                        end
-                        else buf := (state, fp) :: !buf))
-              outcomes
-          end)
-        !groups
-    in
-    let expand ~wid ~depth ~expandable ~frontier state fp buf =
-      let n = Atomic.fetch_and_add expanded 1 + 1 in
-      (match sink with
-      | Some s when n mod progress_every = 0 ->
-          Mutex.lock aux_mu;
-          progress_event s
-            {
-              states = Atomic.get states;
-              transitions = total_transitions ();
-              depth = Atomic.get depth_seen;
-              truncated = Atomic.get truncated;
-            }
-            ~frontier:(frontier ());
-          (match prof with
-          | Some p ->
-              Obs.Prof.heartbeat p s ~component ~states:(Atomic.get states)
-          | None -> ());
-          Mutex.unlock aux_mu
-      | Some _ | None -> ());
-      if expandable then begin
-        pf_enter ~slot:wid ph_expand;
-        let lat0 = latency_t0 () in
-        let rng = state_rng_of fp in
-        let candidates = A.candidates rng state in
-        let actions = List.filter (A.enabled state) candidates in
-        (match observe with
-        | None -> ()
-        | Some f ->
-            Mutex.lock aux_mu;
-            f
-              {
-                obs_state = state;
-                obs_depth = depth;
-                obs_candidates = candidates;
-                obs_enabled = actions;
-              };
-            Mutex.unlock aux_mu);
-        let fired =
-          match ample with
-          | None -> actions
-          | Some f -> (
-              match f state actions with
-              | None -> actions
-              | Some sub ->
-                  Atomic.fetch_and_add por_skipped
-                    (List.length actions - List.length sub)
-                  |> ignore;
-                  sub)
-        in
-        (* Step and fingerprint every fired action first, then admit the
-           successors as one per-stripe batch (see [admit_batch]). *)
-        let succs = ref [] in
-        List.iteri
-          (fun idx action ->
-            if not (Atomic.get stop) then begin
-              let post = A.step state action in
-              transitions.(wid) <- transitions.(wid) + 1;
-              (match check_step with
-              | None -> ()
-              | Some f -> (
-                  let step = { Ioa.Exec.pre = state; action; post } in
-                  match f step with
-                  | Ok () -> ()
-                  | Error msg -> record step_failure (step, msg)));
-              if not (Atomic.get stop) then begin
-                let post =
-                  match canon with
-                  | None -> post
-                  | Some f ->
-                      let rep = f post in
-                      if rep != post then Atomic.incr orbit_collapsed;
-                      rep
-                in
-                let pfp = fingerprint ~slot:wid post in
-                succs := (pfp, post, Some (fp, idx, state, action)) :: !succs
-              end
-            end)
-          fired;
-        if !succs <> [] then admit_batch ~wid (depth + 1) (List.rev !succs) buf;
-        obs_latency lat0;
-        pf_leave ~slot:wid ph_expand
-      end
-    in
-    let run_level depth slices =
-      let nslices = Array.length slices in
-      let cursors = Array.init nslices (fun _ -> Atomic.make 0) in
-      let frontier () =
-        let left = ref 0 in
-        Array.iteri
-          (fun j a ->
-            left := !left + max 0 (Array.length a - Atomic.get cursors.(j)))
-          slices;
-        !left
-      in
-      let total =
-        Array.fold_left (fun acc a -> acc + Array.length a) 0 slices
-      in
-      (match metrics with
-      | Some m -> Obs.Metrics.observe m "explorer.frontier" (float_of_int total)
-      | None -> ());
-      (* Claim granularity scales with the level: tiny levels keep the
-         [steal_block] floor (work arrives fast after a spawn), large
-         levels hand out blocks big enough that cursor fetch-and-adds and
-         steal probes stay off the profile, capped so the end-of-level
-         imbalance stays bounded to one block per worker. *)
-      let claim_block = min 512 (max steal_block (total / (jobs * 4))) in
-      let level_t0 =
-        match prof with Some _ -> Obs.Prof.now_ns () | None -> 0L
-      in
-      let drive_end = Array.make jobs 0L in
-      let nexts = Array.make jobs [] in
-      let expandable =
-        match max_depth with Some d -> depth < d | None -> true
-      in
-      let worker wid () =
-        (* The spawn gap — worker start minus level start — is time this
-           slot spent waiting on domain startup, charged to barrier-wait.
-           Worker 0 runs on the spawning domain, whose allocation is
-           already covered by the main-domain delta sampled at
-           [Prof.stop]; sampling it here would double-count. *)
-        (match prof with
-        | Some p ->
-            Obs.Prof.add_ns p ~slot:wid ph_barrier
-              (Int64.sub (Obs.Prof.now_ns ()) level_t0)
-        | None -> ());
-        let alloc0 =
-          match prof with
-          | Some _ when wid > 0 -> Gc.allocated_bytes ()
-          | _ -> 0.
-        in
-        let buf = ref [] in
-        let own = wid mod nslices in
-        let claim j =
-          let a = slices.(j) in
-          let n = Array.length a in
-          let base = Atomic.fetch_and_add cursors.(j) claim_block in
-          if base >= n then false
-          else begin
-            let stop_at = min n (base + claim_block) in
-            if j <> own then begin
-              Atomic.incr steals;
-              match metrics with
-              | Some m ->
-                  Obs.Metrics.observe m "explorer.steal_batch"
-                    (float_of_int (stop_at - base))
-              | None -> ()
-            end;
-            for i = base to stop_at - 1 do
-              if not (Atomic.get stop) then begin
-                let state, fp = a.(i) in
-                expand ~wid ~depth ~expandable ~frontier state fp buf
-              end
-            done;
-            true
-          end
-        in
-        let rec drive () =
-          if not (Atomic.get stop) then
-            if claim own then drive ()
-            else begin
-              (* Scanning the other slices for work is steal overhead;
-                 expanding a claimed batch re-enters the expand phase,
-                 which pauses this one — attribution stays disjoint. *)
-              pf_enter ~slot:wid ph_steal;
-              let rec steal k =
-                if k >= nslices then false
-                else if claim ((own + k) mod nslices) then true
-                else steal (k + 1)
-              in
-              let got = steal 1 in
-              pf_leave ~slot:wid ph_steal;
-              if got then drive ()
-            end
-        in
-        drive ();
-        (match prof with
-        | Some p ->
-            drive_end.(wid) <- Obs.Prof.now_ns ();
-            if wid > 0 then
-              Obs.Prof.add_alloc p ~slot:wid (Gc.allocated_bytes () -. alloc0)
-        | None -> ());
-        nexts.(wid) <- !buf
-      in
-      let domains =
-        Array.init (jobs - 1) (fun i ->
-            Domain.spawn (fun () -> worker (i + 1) ()))
-      in
-      worker 0 ();
-      Array.iter Domain.join domains;
-      (* Idle tail: a worker that drained its slices early sits at the
-         level barrier until the slowest one finishes. *)
-      (match prof with
-      | Some p ->
-          let level_end = Obs.Prof.now_ns () in
-          for wid = 0 to jobs - 1 do
-            Obs.Prof.add_ns p ~slot:wid ph_barrier
-              (Int64.sub level_end drive_end.(wid))
-          done
-      | None -> ());
-      Array.map Array.of_list nexts
-    in
-    let rec levels depth slices =
-      if
-        (not (Atomic.get stop))
-        && Array.exists (fun a -> Array.length a > 0) slices
-      then levels (depth + 1) (run_level depth slices)
-    in
-    let buf0 = ref [] in
-    admit_batch ~wid:0 0 [ (init_fp, init, None) ] buf0;
-    (match !buf0 with
-    | [ entry ] -> levels 0 [| [| entry |] |]
-    | _ -> ());
-    let stats =
-      {
-        states = Atomic.get states;
-        transitions = total_transitions ();
-        depth = Atomic.get depth_seen;
-        truncated = Atomic.get truncated;
-      }
-    in
-    let merged_parents =
+          "explorer.ring_full_stalls")
+      metrics
+  end;
+  let stats = current_stats () in
+  (match sink with
+  | None -> ()
+  | Some s ->
+      Obs.Trace.point s ~component ~cls:"done"
+        [
+          ("states", Obs.Trace.Int stats.states);
+          ("transitions", Obs.Trace.Int stats.transitions);
+          ("depth", Obs.Trace.Int stats.depth);
+          ("truncated", Obs.Trace.Bool stats.truncated);
+        ]);
+  let por_skipped = Atomic.get por_skipped in
+  let orbit_collapsed = Atomic.get orbit_collapsed in
+  (match metrics with
+  | None -> ()
+  | Some m ->
+      Obs.Metrics.incr ~by:stats.states m "explorer.states";
+      Obs.Metrics.incr ~by:stats.transitions m "explorer.transitions";
+      Obs.Metrics.set m "explorer.depth" (float_of_int stats.depth);
+      Obs.Metrics.set m "explorer.workers" (float_of_int jobs);
+      if Option.is_some ample then
+        Obs.Metrics.incr ~by:por_skipped m "explorer.por_skipped";
+      if Option.is_some canon then
+        Obs.Metrics.incr ~by:orbit_collapsed m "explorer.orbit_collapsed";
+      if stats.truncated then Obs.Metrics.incr m "explorer.truncated");
+  {
+    stats;
+    violation = !violation;
+    violation_step = !violation_step;
+    step_failure = !step_failure;
+    key_clash = !key_clash;
+    trace =
       Option.map
         (fun ps ->
-          let all = T.create 4096 in
-          Array.iter (fun t -> T.iter (fun k v -> T.replace all k v) t) ps;
-          all)
-        parent_shards
-    in
-    finalize ~stats ~violation:!violation ~violation_step:!violation_step
-      ~step_failure:!step_failure ~key_clash:!key_clash ~trace:merged_parents
-      ~steals:(Atomic.get steals) ~contention:(Atomic.get contention)
-      ~por_skipped:(Atomic.get por_skipped)
-      ~orbit_collapsed:(Atomic.get orbit_collapsed)
-  end
+          (* Shards hold disjoint fingerprints: fold them into the first. *)
+          let all = ps.(0) in
+          for i = 1 to jobs - 1 do
+            Fingerprint.Table.iter (Fingerprint.Table.replace all) ps.(i)
+          done;
+          { trace_parents = all; trace_init = init_fp })
+        parents;
+    por_skipped;
+    orbit_collapsed;
+  }

@@ -8,30 +8,36 @@
     reachable state, and optionally checking a per-step property (used for
     exhaustive refinement checking).
 
-    With [~jobs:n] (n > 1) the search runs on OCaml 5 domains, on one of
-    two engines:
+    With [~jobs:n] (n > 1) the search runs on [n] OCaml 5 domains that
+    live for the whole run.  The 128-bit fingerprint space is
+    range-partitioned across them ({!Fingerprint.shard}): each domain
+    exclusively owns its seen-set shard (and, when asked for, its
+    [check_key] representatives and [trace] predecessors) plus a private
+    frontier, so admission takes no lock, and successors owned elsewhere
+    hand off through bounded lock-free MPSC rings ({!Ring}) in batches.
+    Termination is distributed quiescence over an atomic in-flight credit
+    counter; with more workers than cores, idle waits back off to short
+    sleeps.  The engine runs in one of two disciplines:
 
     {ul
-    {- the {b level-synchronized} engine (the default, and always used
-       when [max_depth] is set): per-domain frontier slices over a
-       mutex-striped shared seen-set, block-wise work-stealing when a
-       local slice drains, and a barrier between BFS levels.  Fully
-       deterministic: states are admitted at their true BFS depth and the
-       explored graph is identical at every job count.}
-    {- the {b barrier-free sharded} engine ([~mode:`Throughput] without
-       [max_depth]): the 128-bit fingerprint space is range-partitioned
-       across domains ({!Fingerprint.shard}); each domain exclusively owns
-       its seen-set shard and private frontier — no locks on the hot path —
-       and successors owned elsewhere hand off through bounded lock-free
-       MPSC rings ({!Ring}) in batches.  Termination is detected by
-       distributed quiescence (an atomic in-flight credit counter).  On a
-       clean exhaustive run the visited set, counts and verdict are
-       identical to the level-synchronized engine; the reported [depth] is
-       a {i discovery} depth (≥ the true BFS eccentricity, and
-       scheduling-dependent), and truncated runs keep exact state counts
-       but a scheduling-dependent prefix.}}
+    {- {b level epochs} ([`Deterministic], or any [max_depth]): level
+       [d + 1] starts only once every level-[d] expansion has finished
+       and every handoff it made has been admitted — one credit counter
+       per level parity plus an arrive/epoch barrier.  States are
+       admitted at their true BFS depth, [max_depth] cuts are exact, and
+       the explored graph, counts and depth are identical at every job
+       count.}
+    {- {b barrier-free} ([`Throughput] without [max_depth]): workers
+       expand whatever their frontier holds while handoffs stream in.
+       On a clean exhaustive run the visited set, counts and verdict are
+       those of the epoch discipline; the reported [depth] is a
+       {i discovery} depth (≥ the true BFS eccentricity, and
+       scheduling-dependent).}}
 
-    Both parallel engines force the {b per-state RNG} discipline — the RNG
+    Truncated runs of either discipline keep exact state counts but a
+    scheduling-dependent prefix.
+
+    The parallel engine forces the {b per-state RNG} discipline — the RNG
     handed to [candidates] is seeded from the state's fingerprint, so the
     candidate set at a state is a pure function of (run seed, state) and
     the explored state graph is independent of visit order and
@@ -40,8 +46,9 @@
 
     Unlike the random engine, candidates must over-approximate the enabled
     action set relative to the chosen finite environment.  Under [jobs > 1]
-    the automaton's [candidates]/[enabled]/[step] and the [key], invariant
-    and [check_step] functions are called concurrently from several domains
+    the automaton's [candidates]/[enabled]/[step] and the [key], invariant,
+    [check_step] and [check_key] functions are called concurrently from
+    several domains
     and must be thread-safe (pure functions of their arguments — true of
     the [generative_pure] constructors; the [observe] callback and [sink]
     are serialized by the explorer and need not be). *)
@@ -115,10 +122,10 @@ type ('s, 'a) outcome = {
            scheduling-dependent — bound parallel runs that must be
            reproducible state-for-state by [max_depth] instead.
     @param max_depth stop expanding beyond this depth (default unbounded).
-           Deterministic at every job count: a depth bound forces the
-           level-synchronized engine (even under [`Throughput]), which
-           admits states at their true BFS depth — the sharded engine only
-           knows discovery depths and cannot cut a BFS level exactly.
+           Deterministic at every job count: a depth bound selects level
+           epochs (even under [`Throughput]), which admit states at their
+           true BFS depth — barrier-free runs only know discovery depths
+           and cannot cut a BFS level exactly.
     @param jobs worker domains (default 1 = the sequential engine).
            [jobs > 1] implies [state_rng].
     @param state_rng seed the RNG handed to [candidates] from each state's
@@ -128,13 +135,15 @@ type ('s, 'a) outcome = {
            at every job count.
     @param trace retain per-state predecessors (fingerprint + enabled-action
            index) for counterexample path reconstruction (default false).
-           Costs ~24 bytes per state.  Under [jobs > 1] each seen-set shard
-           keeps its own slice, merged into one table on completion.
+           Costs ~24 bytes per state.  Under [jobs > 1] each shard's
+           owning worker keeps its own slice, merged into one table on
+           completion.
     @param check_step optional per-transition property; return [Error msg]
            to report.  Exploration stops at the first failure.
     @param check_key optional state equality used to audit the dedup: a
            representative state is retained per fingerprint and compared on
-           every collision; the first conflated pair is reported as
+           every collision (by the shard's owning worker under
+           [jobs > 1]); the first conflated pair is reported as
            [key_clash] and stops the search.  Costs memory proportional to
            the explored set — intended for the small instances of
            [lib/analysis].
@@ -158,18 +167,20 @@ type ('s, 'a) outcome = {
            entries whose generators draw from it explore a different —
            equally valid — graph than the string path; omitting the
            parameter reproduces the string path byte-identically.
-    @param mode [`Deterministic] (default) keeps the classic seen-set.
+    @param mode [`Deterministic] (default) keeps the classic seen-set
+           (a table with one representative per fingerprint) and, under
+           [jobs > 1], level epochs.
            [`Throughput] switches to hash compaction: each seen-set shard
            stores bare 128-bit fingerprints in flat lane arrays (16
            bytes/state, no retained representatives), trading the
            [check_key] audit and [trace] reconstruction — both rejected
            with [Invalid_argument] — for footprint.  Under [jobs > 1]
-           without [max_depth] it additionally selects the barrier-free
-           sharded engine (see the module header).  Visited-state counts
+           without [max_depth] it additionally drops the level epochs
+           (barrier-free, see the module header).  Visited-state counts
            and verdicts match deterministic mode on every clean exhaustive
            run; on truncated or violating runs the state count stays exact
-           ([max_states + 1] when truncated) but {i which} states the
-           sharded prefix covers — and hence transition counts, and
+           ([max_states + 1] when truncated) but {i which} states a
+           parallel prefix covers — and hence transition counts, and
            whether a violation is reached before the bound — is
            scheduling-dependent.
     @param canon orbit canonicalization: applied to the initial state and
@@ -192,26 +203,22 @@ type ('s, 'a) outcome = {
            while the search crunches.  Component ["check.explorer"].
     @param metrics on completion, bumps the [explorer.states] /
            [explorer.transitions] / [explorer.truncated] counters and the
-           [explorer.depth] gauge; additionally the [explorer.workers]
-           gauge (the job count) and the [explorer.steals] /
-           [explorer.shard_contention] counters (frontier blocks claimed
-           from another worker's slice; seen-set shard locks that were
-           busy on first try).  The sharded engine reports
+           [explorer.depth] / [explorer.workers] (job count) gauges; the
+           [explorer.frontier] histogram samples the frontier length at
+           every progress point (the expanding worker's under
+           [jobs > 1]).  The parallel engine also reports
            [explorer.handoff_batches] (ring pushes) and
            [explorer.ring_full_stalls] (pushes that found the destination
-           ring full, retried after a self-drain) instead, plus the
+           ring full, retried after a self-drain), plus the
            [explorer.ring_occupancy] histogram (destination occupancy
-           sampled at each push).  With [?prof] also given, the
-           level-synchronized engine records the [explorer.frontier]
-           (per-level frontier size), [explorer.expand_latency_us]
-           (per-state expansion latency) and [explorer.steal_batch]
-           (stolen block size) histograms.
+           sampled at each push).  With [?prof] also given, every engine
+           records the [explorer.expand_latency_us] (per-state expansion
+           latency) histogram.
     @param prof scoped-phase profiler (see {!profile}): charges wall time
            to the [expand] / [encode] / [fingerprint] / [dedup] phases
-           plus [barrier-wait] / [steal] (level-synchronized engine) or
-           [route] / [flush] / [idle] (sharded engine), one slot per
-           worker, and accrues per-domain
-           allocation.  Must have at least [jobs] slots
+           plus, under [jobs > 1], [route] / [flush] / [idle] and — with
+           level epochs — [barrier-wait], one slot per worker, and
+           accrues per-domain allocation.  Must have at least [jobs] slots
            ([Invalid_argument] otherwise).  When [?sink] is also given,
            each progress point is followed by an [Obs.Prof.heartbeat]
            (states/sec, bytes/state, per-phase split so far).  Omitting
@@ -244,11 +251,10 @@ val run :
   ('s, 'a) outcome
 
 (** A profiler pre-interned with the explorer's phase names ([expand],
-    [encode], [fingerprint], [dedup], [barrier-wait], [steal], [route],
-    [flush], [idle]) and one slot per worker — the [?prof] argument for
+    [encode], [fingerprint], [dedup], [route], [flush], [idle],
+    [barrier-wait]) and one slot per worker — the [?prof] argument for
     [run ~jobs].  [encode] accrues only on the [?codec] path (flat
     serialization), so an E17-style string-path profile attributes the
-    same work to [fingerprint]; [barrier-wait]/[steal] accrue only on the
-    level-synchronized engine, [route]/[flush]/[idle] only on the sharded
-    one. *)
+    same work to [fingerprint]; [route]/[flush]/[idle] accrue only under
+    [jobs > 1], and [barrier-wait] only with level epochs. *)
 val profile : jobs:int -> Obs.Prof.t

@@ -131,9 +131,8 @@ let of_bytes b ~pos ~len =
 
 (* Range partition of the high lane's top 16 bits.  The owner of a
    fingerprint must be decorrelated from every other consumer of its
-   bits: the deterministic engine's mutex stripes index the *low* bits
-   of [hi], and [Set]'s linear probe folds [lo] — both untouched here,
-   so per-shard sets stay uniformly loaded. *)
+   bits: [Table]'s hash and [Set]'s linear probe fold [lo], untouched
+   here, so per-shard tables and sets stay uniformly loaded. *)
 let shard t ~shards =
   if shards <= 1 then 0
   else

@@ -60,9 +60,8 @@ val finish : ctx -> t
     [0 .. shards - 1] by range-partitioning the high lane's top 16 bits
     (uniform after the finalizer's avalanche).  Deliberately reads bits
     no other consumer folds: hash tables and {!Set} probe on the low
-    lane, the deterministic engine's mutex stripes take the high lane's
-    {i low} bits — so per-shard structures stay uniformly loaded.  The
-    sharded throughput explorer uses this as the domain-ownership map.
+    lane — so per-shard structures stay uniformly loaded.  The parallel
+    explorer uses this as the domain-ownership map.
     [shards <= 1] always returns 0; [shards] need not divide 65536. *)
 val shard : t -> shards:int -> int
 
@@ -79,10 +78,10 @@ module Table : Hashtbl.S with type key = t
 (** Hash-compacted fingerprint sets for the explorer's throughput mode:
     membership only, 16 flat bytes per entry in unboxed lane arrays —
     no retained states, no per-entry allocation.  Not thread-safe; the
-    parallel explorer stripes one set per seen-shard behind the shard
-    mutex.  The dedup soundness caveat above applies with full force
-    here, since no [check_key] audit is possible without retained
-    representatives. *)
+    parallel explorer keeps one set per shard, touched only by the
+    shard's owning domain.  The dedup soundness caveat above applies
+    with full force here, since no [check_key] audit is possible without
+    retained representatives. *)
 module Set : sig
   type elt = t
   type t

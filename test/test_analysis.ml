@@ -223,13 +223,19 @@ let test_invariant_violation () =
     (List.mem "invariant-violation" (kinds r))
 
 let test_key_clash () =
-  (* a key that conflates states of equal parity is not injective *)
-  let r =
-    An.analyze ~name:"clash"
-      (subject ~key:(fun s -> string_of_int (s mod 2)) (module Counter))
-  in
-  Alcotest.(check bool) "clash reported" true
-    (List.mem "key-clash" (kinds r))
+  (* a key that conflates states of equal parity is not injective; the
+     audit runs on the shard's owning worker at every job count *)
+  List.iter
+    (fun jobs ->
+      let r =
+        An.analyze ~name:"clash" ~jobs
+          (subject ~key:(fun s -> string_of_int (s mod 2)) (module Counter))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "clash reported at jobs:%d" jobs)
+        true
+        (List.mem "key-clash" (kinds r)))
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Truncation semantics                                                *)

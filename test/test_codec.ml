@@ -346,20 +346,21 @@ let seeded_defect_differential () =
 (* `Throughput drops retained states for a fingerprint-only seen-set; on
    the same codec-fed fingerprints both modes must expand exactly the
    same graph.  Verified per entry at jobs:1 and jobs:4.  At jobs:4 the
-   throughput run additionally switches engines (barrier-free sharded vs
-   level-synchronized), which narrows what is comparable:
+   throughput run additionally drops the parallel engine's per-level
+   epochs (barrier-free vs level epochs), which narrows what is
+   comparable:
 
-   - counts: asserted only on runs where both engines exhausted cleanly
+   - counts: asserted only on runs where both sides exhausted cleanly
      (no violation / step failure) — on a violating or truncated run the
      set of states visited before stopping is scheduling-dependent;
-   - depth: exact at jobs:1; at jobs:4 the sharded engine reports a
+   - depth: exact at jobs:1; at jobs:4 the barrier-free run reports a
      discovery depth, which on an exhaustive run is >= the true BFS
-     eccentricity the deterministic engine reports;
+     eccentricity the epoch run reports;
    - verdict: exactly equal at jobs:1; at jobs:4 the verdict *class* is
      compared on non-truncated runs (which of several violated
      invariants stops the run first is scheduling-dependent), and a
-     truncated sharded prefix may stop before the violation the
-     deterministic engine finds, so truncated jobs:4 verdicts are not
+     truncated barrier-free prefix may stop before the violation the
+     epoch run finds, so truncated jobs:4 verdicts are not
      compared at all.
 
    The test demands most of the registry be exhaustible at this bound so
@@ -386,7 +387,7 @@ let mode_parity () =
               (det.An.raw_violation = thr.An.raw_violation
               && det.An.raw_step_failure = thr.An.raw_step_failure)
           else if not (det.An.raw_truncated || thr.An.raw_truncated) then
-            (* Cross-engine: both must fail the same way, but which of
+            (* Cross-discipline: both must fail the same way, but which of
                several violated invariants is hit first is
                scheduling-dependent. *)
             Alcotest.(check bool)

@@ -4,8 +4,8 @@
    - Parity: for every registry entry, a depth-bounded exploration at
      jobs:1 and jobs:4 visits the same state/transition/depth counts and
      produces the same findings — the per-state RNG discipline plus the
-     level-synchronized parallel BFS make the explored graph independent
-     of scheduling.
+     parallel engine's per-level epochs make the explored graph
+     independent of scheduling.
    - Defect detection survives parallelism: the seeded No_dedup engine
      variant is still caught by the per-transition refinement check under
      jobs:4.
@@ -138,7 +138,8 @@ let test_fingerprint_injective_vs_stack () =
 
 (* Depth-bounded so the explored graph is exactly reproducible at every
    job count (a [max_states] cut admits whichever states the scheduler
-   reaches first; a [max_depth] cut is level-synchronized and exact). *)
+   reaches first; a [max_depth] cut runs in per-level epochs and is
+   exact). *)
 let parity_max_depth = 8
 let parity_max_states = 100_000
 

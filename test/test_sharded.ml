@@ -1,15 +1,16 @@
-(* Tests for the barrier-free sharded throughput engine and its handoff
-   ring (Check.Ring).
+(* Tests for the sharded parallel explorer and its handoff ring
+   (Check.Ring).
 
    - Ring: capacity rounding, FIFO order, full-ring refusal, and an MPSC
      stress run across real domains (every element delivered exactly
      once, per-producer order preserved).
    - Quiescence: the credit-counting termination protocol neither hangs
      nor terminates early — checked with slow workers (worst-case idle
-     imbalance) and with repeated runs of a tiny graph whose frontier
-     empties constantly (the premature-termination window).
-   - Parity: on clean exhaustive runs the sharded engine visits exactly
-     the deterministic engine's state set at every job count, discovery
+     imbalance), barrier-free and across per-level epochs, and with
+     repeated runs of a tiny graph whose frontier empties constantly (the
+     premature-termination window).
+   - Parity: on clean exhaustive runs the barrier-free engine visits
+     exactly the deterministic state set at every job count, discovery
      depth bounds BFS depth, [max_states] truncation keeps the exact
      deterministic count, and the three seeded registry defects are
      still caught. *)
@@ -126,10 +127,11 @@ let diamond n ~slow =
     with type state = int
      and type action = int)
 
-let run_diamond ?max_states ~n ~jobs ~mode ~slow () =
+let run_diamond ?max_states ?max_depth ~n ~jobs ~mode ~slow () =
   Check.Explorer.run (diamond n ~slow)
     ~key:(fun s -> string_of_int s)
-    ~invariants:[] ?max_states ~jobs ~state_rng:true ~mode ~init:0 ()
+    ~invariants:[] ?max_states ?max_depth ~jobs ~state_rng:true ~mode ~init:0
+    ()
 
 let check_diamond_exact name (out : (int, int) Check.Explorer.outcome) ~n =
   let st = out.Check.Explorer.stats in
@@ -158,6 +160,42 @@ let test_quiescence_slow_workers () =
         ~n)
     [ 2; 4 ]
 
+(* The level epoch under slow workers: a stalled expansion holds its
+   whole level open while the other workers wait at the barrier, and
+   every level of the diamond has successors owned by other shards.  An
+   epoch run must admit each state at its true BFS depth, so the depth is
+   exactly ceil(n/2) ([`Deterministic]) or the cut itself ([max_depth],
+   which selects epochs even under [`Throughput]), and the counts equal
+   the sequential engine's. *)
+let test_epoch_slow_workers () =
+  let n = 400 in
+  List.iter
+    (fun (label, mode, max_depth) ->
+      let reference = run_diamond ?max_depth ~n ~jobs:1 ~mode ~slow:false () in
+      let expect_depth = Option.value max_depth ~default:((n + 1) / 2) in
+      List.iter
+        (fun jobs ->
+          let name = Printf.sprintf "%s slow jobs:%d" label jobs in
+          let st =
+            (run_diamond ?max_depth ~n ~jobs ~mode ~slow:true ())
+              .Check.Explorer.stats
+          in
+          let ref_st = reference.Check.Explorer.stats in
+          Alcotest.(check int) (name ^ ": BFS depth") expect_depth
+            st.Check.Explorer.depth;
+          Alcotest.(check int) (name ^ ": states") ref_st.Check.Explorer.states
+            st.Check.Explorer.states;
+          Alcotest.(check int)
+            (name ^ ": transitions")
+            ref_st.Check.Explorer.transitions st.Check.Explorer.transitions;
+          Alcotest.(check bool) (name ^ ": not truncated") false
+            st.Check.Explorer.truncated)
+        [ 2; 4 ])
+    [
+      ("deterministic", `Deterministic, None);
+      ("max_depth", `Throughput, Some 60);
+    ]
+
 (* Empty-frontier races: a tiny graph at jobs:4 keeps every worker's
    frontier on the edge of empty, so the idle/re-wake path runs
    constantly.  Thirty runs make a racy termination check flake with
@@ -171,7 +209,7 @@ let test_quiescence_empty_frontier_races () =
       ~n
   done
 
-(* Atomic quota reservation: a truncated sharded run must report exactly
+(* Atomic quota reservation: a truncated parallel run must report exactly
    the deterministic count (max_states + 1 — the crossing state is still
    admitted and checked), even though which states it covers is
    scheduling-dependent. *)
@@ -193,11 +231,11 @@ let test_truncation_exact_count () =
 (* Engine parity                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Registry-wide: deterministic level-synchronized vs sharded throughput
-   on clean exhaustive runs — same states, same transitions, BFS depth
-   bounded by discovery depth.  (test_codec's mode_parity covers the
-   verdict classes on the seeded defects; here the healthy entries pin
-   the counts at both job levels.) *)
+(* Registry-wide: the sequential deterministic reference vs barrier-free
+   throughput on clean exhaustive runs — same states, same transitions,
+   BFS depth bounded by discovery depth.  (test_codec's mode_parity
+   covers the verdict classes on the seeded defects; here the healthy
+   entries pin the counts at both job levels.) *)
 let test_registry_sharded_parity () =
   List.iter
     (fun (Reg.Entry e) ->
@@ -226,8 +264,9 @@ let test_registry_sharded_parity () =
           [ 1; 4 ])
     (Reg.all ())
 
-(* The seeded defects must not escape the new engine: each still produces
-   its expected failure class under the sharded exploration at jobs:4. *)
+(* The seeded defects must not escape the barrier-free discipline: each
+   still produces its expected failure class under a throughput
+   exploration at jobs:4. *)
 let test_defects_caught_sharded () =
   List.iter
     (fun entry ->
@@ -267,6 +306,8 @@ let () =
         [
           Alcotest.test_case "slow workers terminate exactly" `Slow
             test_quiescence_slow_workers;
+          Alcotest.test_case "epoch barrier under slow workers" `Slow
+            test_epoch_slow_workers;
           Alcotest.test_case "empty-frontier races" `Slow
             test_quiescence_empty_frontier_races;
           Alcotest.test_case "truncation keeps the exact count" `Slow
