@@ -50,31 +50,26 @@ let run_raw ~selected ~max_states_override ~max_depth ~jobs ~mode =
       let max_states =
         match max_states_override with Some n -> n | None -> e.max_states
       in
-      let r =
+      let st, verdict, elapsed_ms =
         Analysis.Analyzer.explore_raw ~max_states ?max_depth ~jobs ~mode
           e.subject
       in
-      let verdict =
-        match (r.Analysis.Analyzer.raw_violation, r.raw_step_failure) with
-        | Some inv, _ -> "violation:" ^ inv
-        | None, true -> "step-failure"
-        | None, false -> if r.raw_deadlock then "deadlock" else "clean"
-      in
+      let label = Analysis.Analyzer.verdict_label verdict in
       (match Analysis.Registry.expected (Analysis.Registry.Entry e) with
-      | Some _ when verdict = "clean" ->
+      | Some _ when label = "clean" ->
           (* Seeded defects must still fail under either engine. *)
           failed := true
       | _ -> ());
       let sps =
-        if r.raw_elapsed_ms > 0. then
-          float_of_int r.raw_states /. (r.raw_elapsed_ms /. 1000.)
+        if elapsed_ms > 0. then
+          float_of_int st.Check.Explorer.states /. (elapsed_ms /. 1000.)
         else 0.
       in
       Format.printf
         "%-24s %8d states %9d transitions  depth %3d%s  %10.0f st/s  %s@."
-        e.name r.raw_states r.raw_transitions r.raw_depth
-        (if r.raw_truncated then " (truncated)" else "")
-        sps verdict)
+        e.name st.states st.transitions st.depth
+        (if st.truncated then " (truncated)" else "")
+        sps label)
     selected;
   if !failed then exit 1
 

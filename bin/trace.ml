@@ -49,14 +49,16 @@ let run_entry (Analysis.Registry.Entry e) ~steps ~seed ~explore ~reduce
     let mode =
       match mode with `Throughput -> `Throughput | _ -> `Deterministic
     in
-    let r =
+    let st, verdict, elapsed_ms =
       Analysis.Analyzer.explore_raw ~max_states ~jobs ~mode ~sink ~metrics
         ?prof sub
     in
     finish_profile metrics ~prefix:"explorer" prof;
     Logs.info (fun m ->
-        m "explored %s (raw): %d states, %d transitions, depth %d in %.1f ms"
-          e.name r.raw_states r.raw_transitions r.raw_depth r.raw_elapsed_ms)
+        m
+          "explored %s (raw): %d states, %d transitions, depth %d in %.1f ms: %s"
+          e.name st.Check.Explorer.states st.transitions st.depth elapsed_ms
+          (verdict_label verdict))
   end
   else if explore then begin
     let max_states =

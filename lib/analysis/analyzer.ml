@@ -3,6 +3,18 @@
    would otherwise drown the report in thousands of identical findings. *)
 let max_findings_per_kind = 10
 
+(* An accumulator keeping the first [max_findings_per_kind] findings
+   added, in order; [add] builds a finding only while there is room. *)
+let capped () =
+  let found = ref [] and n = ref 0 in
+  let add f =
+    if !n < max_findings_per_kind then begin
+      incr n;
+      found := f () :: !found
+    end
+  in
+  (add, fun () -> List.rev !found)
+
 (* Completeness cross-checks cost |observations| × |action universe|
    [enabled] evaluations; beyond this many observations we check a
    deterministic stride sample. *)
@@ -40,6 +52,74 @@ type ('s, 'a) subject = {
   instrumented_step : (Obs.Trace.sink -> 's -> 'a -> 's) option;
 }
 
+(* ------------------------------------------------------------------ *)
+(* One exploration of a subject                                        *)
+(* ------------------------------------------------------------------ *)
+
+type verdict = {
+  violation : string option;
+  step_failure : bool;
+  deadlock : bool;
+}
+
+let verdict_label v =
+  match v with
+  | { violation = Some inv; _ } -> "violation:" ^ inv
+  | { step_failure = true; _ } -> "step-failure"
+  | { deadlock = true; _ } -> "deadlock"
+  | _ -> "clean"
+
+(* Every front door explores through here: the subject's automaton, key,
+   invariants, step property and initial state, with the per-state RNG
+   forced at every job count — candidate sets become a pure function of
+   (seed, state), so the explored graph, and every count and finding
+   derived from it, is independent of [jobs].  Callers add only their own
+   extras on top.
+
+   The deadlock rule lives here once: an expanded state with no enabled
+   candidate that the subject does not declare quiescent (the explorer
+   itself has no deadlock notion — such a state simply has no
+   successors).  The first [max_findings_per_kind] deadlocked
+   observations come back in discovery order: BFS order at jobs:1,
+   scheduling order under jobs > 1, where the explorer serializes
+   [observe]. *)
+let explore (sub : ('s, 'a) subject) ~seed ~max_states ?max_depth ~jobs
+    ?observe ?check_key ?ample ?canon ?codec ?mode ?trace ?sink ?metrics
+    ?prof () =
+  let add_deadlock, deadlocks = capped () in
+  let observe =
+    match (sub.quiescent, observe) with
+    | None, None -> None
+    | quiescent, _ ->
+        Some
+          (fun o ->
+            Option.iter (fun f -> f o) observe;
+            match quiescent with
+            | Some q
+              when o.Check.Explorer.obs_enabled = []
+                   && not (q o.Check.Explorer.obs_state) ->
+                add_deadlock (fun () -> o)
+            | _ -> ())
+  in
+  let outcome =
+    Check.Explorer.run sub.automaton ~key:sub.key
+      ~invariants:(List.map (fun c -> c.Ioa.Invariant.inv) sub.invariants)
+      ~seed ~max_states ?max_depth ~jobs ~state_rng:true ?trace
+      ?check_step:sub.check_step ?check_key ?ample ?canon ?codec ?mode
+      ?observe ?sink ?metrics ?prof ~init:sub.init ()
+  in
+  let verdict =
+    {
+      violation =
+        Option.map
+          (fun v -> v.Ioa.Invariant.invariant)
+          outcome.Check.Explorer.violation;
+      step_failure = Option.is_some outcome.Check.Explorer.step_failure;
+      deadlock = deadlocks () <> [];
+    }
+  in
+  (outcome, verdict, deadlocks ())
+
 let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
     ?(seed = [| 0 |]) ?(footprint = false) ?(reduce = false) ?sink ?metrics
     ?prof (sub : (s, a) subject) =
@@ -60,15 +140,9 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
     observations := o :: !observations;
     incr n_obs
   in
-  (* [state_rng] at every job count: candidate sets become a pure function
-     of (seed, state), so the explored graph — and with it every count and
-     finding below — is independent of [jobs]. *)
-  let outcome =
-    Check.Explorer.run sub.automaton ~key:sub.key
-      ~invariants:(List.map (fun c -> c.Ioa.Invariant.inv) sub.invariants)
-      ~seed ~max_states ?max_depth ~jobs ~state_rng:true
-      ?check_step:sub.check_step ?check_key:sub.equal_state ~observe ?sink
-      ?metrics ?prof ~init:sub.init ()
+  let outcome, verdict, deadlocked =
+    explore sub ~seed ~max_states ?max_depth ~jobs ~observe
+      ?check_key:sub.equal_state ?sink ?metrics ?prof ()
   in
   let obs = List.rev !observations in
   let stats = outcome.Check.Explorer.stats in
@@ -116,15 +190,15 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
      the cut.  [max_states] sets [truncated]; a [max_depth] cut does not, so
      it is detected from the reached depth.  Either way the would-be
      findings are reported as inconclusive lines instead. *)
-  let depth_limited =
-    match max_depth with Some d -> stats.Check.Explorer.depth >= d | None -> false
+  let cut (st : Check.Explorer.stats) =
+    st.truncated
+    || match max_depth with Some d -> st.depth >= d | None -> false
   in
-  let limited = truncated || depth_limited in
+  let limited = cut stats in
   let limit_reason =
     if truncated then
-      Printf.sprintf "exploration truncated at %d states"
-        stats.Check.Explorer.states
-    else Printf.sprintf "exploration depth-limited at %d" stats.Check.Explorer.depth
+      Printf.sprintf "exploration truncated at %d states" stats.states
+    else Printf.sprintf "exploration depth-limited at %d" stats.depth
   in
   let vacuous, vacuous_inconclusive =
     if !n_obs = 0 then ([], [])
@@ -154,28 +228,22 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
 
   (* --- generator soundness: proposed ⊆ enabled (exact entries) ---- *)
   let unsound =
-    if not sub.exact_candidates then []
-    else begin
-      let found = ref [] and n = ref 0 in
+    let add, found = capped () in
+    if sub.exact_candidates then
       List.iter
         (fun o ->
           List.iter
             (fun a ->
-              if not (A.enabled o.Check.Explorer.obs_state a) then begin
-                incr n;
-                if !n <= max_findings_per_kind then
-                  found :=
+              if not (A.enabled o.Check.Explorer.obs_state a) then
+                add (fun () ->
                     Findings.Unsound_candidate
                       {
                         action = action_str a;
                         state = state_str o.Check.Explorer.obs_state;
-                      }
-                    :: !found
-              end)
+                      }))
             o.Check.Explorer.obs_candidates)
         obs;
-      List.rev !found
-    end
+    found ()
   in
 
   (* --- generator completeness over the observed action universe --- *)
@@ -198,38 +266,30 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
             o.Check.Explorer.obs_candidates)
         obs;
       let stride = max 1 (!n_obs / completeness_sample) in
-      let found = ref [] and n = ref 0 and i = ref (-1) in
-      List.iter
-        (fun o ->
-          incr i;
-          if !i mod stride = 0 then begin
+      let add, found = capped () in
+      List.iteri
+        (fun i o ->
+          if i mod stride = 0 then begin
             let proposed =
-              List.fold_left
-                (fun acc a -> action_str a :: acc)
-                []
-                o.Check.Explorer.obs_candidates
+              List.map action_str o.Check.Explorer.obs_candidates
             in
             Hashtbl.iter
               (fun str a ->
                 if
                   A.enabled o.Check.Explorer.obs_state a
                   && not (List.mem str proposed)
-                then begin
-                  incr n;
-                  if !n <= max_findings_per_kind then
-                    found :=
+                then
+                  add (fun () ->
                       Findings.Missed_enabled
                         {
                           action = str;
                           cls = sub.action_class a;
                           state = state_str o.Check.Explorer.obs_state;
-                        }
-                      :: !found
-                end)
+                        }))
               universe
           end)
         obs;
-      List.rev !found
+      found ()
     end
   in
 
@@ -254,55 +314,33 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
 
   (* --- deadlocks --------------------------------------------------- *)
   let deadlocks =
-    match sub.quiescent with
-    | None -> []
-    | Some quiescent ->
-        let found = ref [] and n = ref 0 in
-        List.iter
-          (fun o ->
-            if
-              o.Check.Explorer.obs_enabled = []
-              && not (quiescent o.Check.Explorer.obs_state)
-            then begin
-              incr n;
-              if !n <= max_findings_per_kind then
-                found :=
-                  Findings.Deadlock
-                    {
-                      state = state_str o.Check.Explorer.obs_state;
-                      depth = o.Check.Explorer.obs_depth;
-                    }
-                  :: !found
-            end)
-          obs;
-        List.rev !found
+    List.map
+      (fun o ->
+        Findings.Deadlock
+          {
+            state = state_str o.Check.Explorer.obs_state;
+            depth = o.Check.Explorer.obs_depth;
+          })
+      deadlocked
   in
 
   (* --- explorer-level findings ------------------------------------ *)
   let explorer_findings =
-    List.concat
+    List.filter_map Fun.id
       [
-        (match outcome.Check.Explorer.violation with
-        | Some v ->
-            [
-              Findings.Invariant_violation
-                {
-                  invariant = v.Ioa.Invariant.invariant;
-                  state = state_str v.Ioa.Invariant.state;
-                };
-            ]
-        | None -> []);
-        (match outcome.Check.Explorer.step_failure with
-        | Some (step, detail) ->
-            [
-              Findings.Step_failure
-                { action = action_str step.Ioa.Exec.action; detail };
-            ]
-        | None -> []);
-        (match outcome.Check.Explorer.key_clash with
-        | Some (a, b) ->
-            [ Findings.Key_clash { state_a = state_str a; state_b = state_str b } ]
-        | None -> []);
+        Option.map
+          (fun (v : _ Ioa.Invariant.violation) ->
+            Findings.Invariant_violation
+              { invariant = v.invariant; state = state_str v.state })
+          outcome.Check.Explorer.violation;
+        Option.map
+          (fun ((step : _ Ioa.Exec.step), detail) ->
+            Findings.Step_failure { action = action_str step.action; detail })
+          outcome.Check.Explorer.step_failure;
+        Option.map
+          (fun (a, b) ->
+            Findings.Key_clash { state_a = state_str a; state_b = state_str b })
+          outcome.Check.Explorer.key_clash;
       ]
   in
 
@@ -310,20 +348,14 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
   (* Deterministic enabled-candidate function matching the explorer's
      per-state RNG discipline — what the audits replay against. *)
   let candidates_of s =
-    let fp = Check.Fingerprint.of_string (sub.key s) in
-    let rng = Random.State.make (Check.Fingerprint.seed fp seed) in
-    List.filter (A.enabled s) (A.candidates rng s)
+    List.filter (A.enabled s)
+      (Check.Explorer.candidates sub.automaton ~key:sub.key ~seed s)
   in
   let sample target =
     let stride = max 1 (!n_obs / target) in
-    let i = ref (-1) in
-    List.filter_map
-      (fun o ->
-        incr i;
-        if !i mod stride = 0 then
-          Some (o.Check.Explorer.obs_state, o.Check.Explorer.obs_enabled)
-        else None)
-      obs
+    List.filteri (fun i _ -> i mod stride = 0) obs
+    |> List.map (fun (o : _ Check.Explorer.observation) ->
+           (o.obs_state, o.obs_enabled))
   in
   let cap_per_kind fs =
     let seen : (string, int) Hashtbl.t = Hashtbl.create 4 in
@@ -463,51 +495,19 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
                equivariant+deterministic symmetry declared";
             ] )
       | _ ->
-          let red_deadlock = ref false in
-          let red_observe o =
-            match sub.quiescent with
-            | Some q
-              when o.Check.Explorer.obs_enabled = []
-                   && not (q o.Check.Explorer.obs_state) ->
-                red_deadlock := true
-            | _ -> ()
-          in
-          let red =
-            Check.Explorer.run sub.automaton ~key:sub.key
-              ~invariants:
-                (List.map (fun c -> c.Ioa.Invariant.inv) sub.invariants)
-              ~seed ~max_states ?max_depth ~jobs ~state_rng:true
-              ?check_step:sub.check_step ?ample ?canon ~observe:red_observe
-              ?metrics ~init:sub.init ()
+          let red, red_verdict, _ =
+            explore sub ~seed ~max_states ?max_depth ~jobs ?ample ?canon
+              ?metrics ()
           in
           let rstats = red.Check.Explorer.stats in
-          let v_name (o : _ Check.Explorer.outcome) =
-            match o.violation with
-            | Some v -> Some v.Ioa.Invariant.invariant
-            | None -> None
-          in
-          let full_deadlock = deadlocks <> [] in
-          let full_verdict =
-            ( v_name outcome,
-              Option.is_some outcome.Check.Explorer.step_failure,
-              full_deadlock )
-          in
-          let red_verdict =
-            ( v_name red,
-              Option.is_some red.Check.Explorer.step_failure,
-              !red_deadlock )
-          in
-          let agrees = full_verdict = red_verdict in
-          let red_limited =
-            rstats.Check.Explorer.truncated
-            || match max_depth with
-               | Some d -> rstats.Check.Explorer.depth >= d
-               | None -> false
-          in
-          let describe (v, sf, dl) =
+          (* all three verdict fields must agree, not just the first
+             failure a prioritized label would show *)
+          let agrees = verdict = red_verdict in
+          let red_limited = cut rstats in
+          let describe v =
             Printf.sprintf "violation=%s step-failure=%b deadlock=%b"
-              (Option.value ~default:"none" v)
-              sf dl
+              (Option.value ~default:"none" v.violation)
+              v.step_failure v.deadlock
           in
           let findings =
             if agrees || limited || red_limited then []
@@ -516,8 +516,8 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
                 Findings.Reduction_divergence
                   {
                     detail =
-                      Printf.sprintf "full: %s; reduced: %s"
-                        (describe full_verdict) (describe red_verdict);
+                      Printf.sprintf "full: %s; reduced: %s" (describe verdict)
+                        (describe red_verdict);
                   };
               ]
           in
@@ -527,15 +527,13 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
                 Printf.sprintf
                   "reduction verdict comparison inconclusive (%s): full %s \
                    vs reduced %s"
-                  limit_reason (describe full_verdict) (describe red_verdict);
+                  limit_reason (describe verdict) (describe red_verdict);
               ]
             else []
           in
           let ratio =
-            if stats.Check.Explorer.states = 0 then 1.0
-            else
-              float_of_int rstats.Check.Explorer.states
-              /. float_of_int stats.Check.Explorer.states
+            if stats.states = 0 then 1.0
+            else float_of_int rstats.states /. float_of_int stats.states
           in
           (match metrics with
           | None -> ()
@@ -556,8 +554,7 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
 
   let elapsed_ms = Obs.Metrics.now_ms () -. t0 in
   let states_per_sec =
-    if elapsed_ms > 0. then
-      float_of_int stats.Check.Explorer.states /. (elapsed_ms /. 1000.)
+    if elapsed_ms > 0. then float_of_int stats.states /. (elapsed_ms /. 1000.)
     else 0.
   in
   (match metrics with
@@ -565,9 +562,9 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
   | Some m -> Obs.Metrics.observe m "analyzer.elapsed_ms" elapsed_ms);
   {
     Findings.entry = name;
-    states = stats.Check.Explorer.states;
-    transitions = stats.Check.Explorer.transitions;
-    depth = stats.Check.Explorer.depth;
+    states = stats.states;
+    transitions = stats.transitions;
+    depth = stats.depth;
     truncated;
     classes;
     coverage;
@@ -586,60 +583,14 @@ let analyze (type s a) ~name ?(max_states = 20_000) ?max_depth ?(jobs = 1)
 (* Raw exploration (codec-fed / throughput-mode runs)                  *)
 (* ------------------------------------------------------------------ *)
 
-type raw = {
-  raw_states : int;
-  raw_transitions : int;
-  raw_depth : int;
-  raw_truncated : bool;
-  raw_violation : string option;
-  raw_step_failure : bool;
-  raw_deadlock : bool;
-  raw_elapsed_ms : float;
-}
-
-let explore_raw (type s a) ?(max_states = 20_000) ?max_depth ?(jobs = 1)
-    ?(seed = [| 0 |]) ?(use_codec = true) ?(mode = `Deterministic) ?sink
-    ?metrics ?prof (sub : (s, a) subject) =
-  let codec = if use_codec then sub.codec else None in
-  (* Same dead-end notion as [find_cex]: a state with no enabled candidate
-     that the subject does not declare quiescent.  Observation only — it
-     cannot perturb the explored graph, and the explorer serializes
-     [observe] calls under [jobs > 1]. *)
-  let deadlock = ref false in
-  let observe =
-    match sub.quiescent with
-    | None -> None
-    | Some q ->
-        Some
-          (fun o ->
-            if
-              (not !deadlock)
-              && o.Check.Explorer.obs_enabled = []
-              && not (q o.Check.Explorer.obs_state)
-            then deadlock := true)
-  in
+let explore_raw ?(max_states = 20_000) ?max_depth ?(jobs = 1)
+    ?(seed = [| 0 |]) ?(mode = `Deterministic) ?sink ?metrics ?prof sub =
   let t0 = Obs.Metrics.now_ms () in
-  let outcome =
-    Check.Explorer.run sub.automaton ~key:sub.key
-      ~invariants:(List.map (fun c -> c.Ioa.Invariant.inv) sub.invariants)
-      ~seed ~max_states ?max_depth ~jobs ~state_rng:true
-      ?check_step:sub.check_step ?codec ~mode ?observe ?sink ?metrics ?prof
-      ~init:sub.init ()
+  let outcome, verdict, _ =
+    explore sub ~seed ~max_states ?max_depth ~jobs ?codec:sub.codec ~mode
+      ?sink ?metrics ?prof ()
   in
-  let stats = outcome.Check.Explorer.stats in
-  {
-    raw_states = stats.Check.Explorer.states;
-    raw_transitions = stats.Check.Explorer.transitions;
-    raw_depth = stats.Check.Explorer.depth;
-    raw_truncated = stats.Check.Explorer.truncated;
-    raw_violation =
-      Option.map
-        (fun v -> v.Ioa.Invariant.invariant)
-        outcome.Check.Explorer.violation;
-    raw_step_failure = Option.is_some outcome.Check.Explorer.step_failure;
-    raw_deadlock = !deadlock;
-    raw_elapsed_ms = Obs.Metrics.now_ms () -. t0;
-  }
+  (outcome.Check.Explorer.stats, verdict, Obs.Metrics.now_ms () -. t0)
 
 (* ------------------------------------------------------------------ *)
 (* Counterexample extraction                                           *)
@@ -666,35 +617,10 @@ type cex = {
   cex_state : string option;
 }
 
-let find_cex (type s a) ?(max_states = 20_000) ?max_depth ?(jobs = 1)
-    ?(seed = [| 0 |]) ?(shrink = true) (sub : (s, a) subject) =
-  let (module A : Ioa.Automaton.GENERATIVE
-        with type state = s
-         and type action = a) =
-    sub.automaton
-  in
-  (* Capture the first deadlock the exploration observes (BFS order at
-     jobs:1; scheduling order — still some reachable deadlock — at
-     jobs:n).  The explorer itself has no deadlock notion: a state with
-     no enabled candidate simply has no successors. *)
-  let deadlock = ref None in
-  let observe =
-    match sub.quiescent with
-    | None -> None
-    | Some q ->
-        Some
-          (fun o ->
-            if
-              Option.is_none !deadlock
-              && o.Check.Explorer.obs_enabled = []
-              && not (q o.Check.Explorer.obs_state)
-            then deadlock := Some o.Check.Explorer.obs_state)
-  in
-  let outcome =
-    Check.Explorer.run sub.automaton ~key:sub.key
-      ~invariants:(List.map (fun c -> c.Ioa.Invariant.inv) sub.invariants)
-      ~seed ~max_states ?max_depth ~jobs ~state_rng:true ~trace:true
-      ?check_step:sub.check_step ?observe ~init:sub.init ()
+let find_cex ?(max_states = 20_000) ?max_depth ?(jobs = 1) ?(seed = [| 0 |])
+    ?(shrink = true) sub =
+  let outcome, _, deadlocked =
+    explore sub ~seed ~max_states ?max_depth ~jobs ~trace:true ()
   in
   let trace =
     match outcome.Check.Explorer.trace with
@@ -708,20 +634,18 @@ let find_cex (type s a) ?(max_states = 20_000) ?max_depth ?(jobs = 1)
     match
       ( outcome.Check.Explorer.violation,
         outcome.Check.Explorer.step_failure,
-        !deadlock )
+        deadlocked )
     with
     | Some v, _, _ ->
-        Ok
-          ( v.Ioa.Invariant.state,
-            Check.Shrink.Invariant v.Ioa.Invariant.invariant,
-            [] )
+        Ok (v.Ioa.Invariant.state, Check.Shrink.Invariant v.invariant, [])
     | None, Some (st, _), _ ->
         Ok
           ( st.Ioa.Exec.pre,
             Check.Shrink.Step sub.step_class,
             [ render st.Ioa.Exec.action ] )
-    | None, None, Some s -> Ok (s, Check.Shrink.Deadlock, [])
-    | None, None, None -> Error "no failure found in the explored graph"
+    | None, None, o :: _ ->
+        Ok (o.Check.Explorer.obs_state, Check.Shrink.Deadlock, [])
+    | None, None, [] -> Error "no failure found in the explored graph"
   in
   match target with
   | Error _ as e -> e

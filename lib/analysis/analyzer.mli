@@ -130,52 +130,54 @@ val analyze :
   ('s, 'a) subject ->
   Findings.report
 
-(** One raw exploration's headline numbers — no analyses, no retained
-    observations; what [bin/analyze --mode] and the mode-parity tests
-    compare across engines. *)
-type raw = {
-  raw_states : int;
-  raw_transitions : int;
-  raw_depth : int;
-  raw_truncated : bool;
-  raw_violation : string option;  (** first violated invariant, if any *)
-  raw_step_failure : bool;
-  raw_deadlock : bool;
-      (** a dead-end state (no enabled candidate) the subject does not
-          declare quiescent was expanded — always [false] on subjects
-          without a [quiescent] predicate *)
-  raw_elapsed_ms : float;
+(** How one exploration ended: the first violated invariant (if any),
+    whether a per-step property failed, and whether a dead-end state (no
+    enabled candidate) the subject does not declare quiescent was
+    expanded — always [false] on subjects without a [quiescent]
+    predicate.  Every front door ([analyze]'s deadlock findings and
+    reduction check, {!explore_raw}, {!find_cex}) derives it from the
+    same exploration pipeline.  The [--reduce] check compares the full
+    and reduced runs' verdicts field by field. *)
+type verdict = {
+  violation : string option;
+  step_failure : bool;
+  deadlock : bool;
 }
 
+(** The verdict's one-word rendering, in priority order:
+    ["violation:<invariant>"], ["step-failure"], ["deadlock"] or
+    ["clean"] — what [bin/analyze --mode] and [bin/trace] print. *)
+val verdict_label : verdict -> string
+
 (** [explore_raw sub] runs one plain exploration of the subject (per-state
-    RNG forced, as everywhere in the analyzer) and returns its stats and
-    verdicts.  With [~use_codec:true] (the default) and a subject codec,
-    states are fingerprinted from their flat {!Check.Codec} encoding;
-    [~mode:`Throughput] additionally switches the explorer to the
-    hash-compacted seen-set ({!Check.Explorer.run}'s [?mode]), and — at
-    [jobs > 1] without a depth bound — drops the parallel engine's level
-    epochs (barrier-free).  On clean exhaustive runs the explored graph
-    and all verdicts are identical across the two modes by construction
-    (what the parity suite asserts); parallel truncated runs keep exact
-    state counts but a scheduling-dependent prefix, and barrier-free
-    depths are discovery depths.
-    [~use_codec:false] is the string-keyed baseline; on entries with
-    RNG-gated generators its explored graph differs from the codec-fed one
-    (the per-state RNG is seeded from the fingerprint), so cross-source
-    state counts are only comparable on deterministic-generator
-    entries. *)
+    RNG forced, as everywhere in the analyzer; no analyses, no retained
+    observations) and returns its {!Check.Explorer.stats}, its verdict and
+    the wall-clock time in milliseconds — what [bin/analyze --mode] and
+    the mode-parity tests compare across engines.  When the subject ships
+    a codec, states are fingerprinted from their flat {!Check.Codec}
+    encoding; on entries with RNG-gated generators its explored graph
+    therefore differs from [analyze]'s string-keyed one (the per-state RNG
+    is seeded from the fingerprint), so state counts are only comparable
+    across the two on deterministic-generator entries.
+    [~mode:`Throughput] switches the explorer to the hash-compacted
+    seen-set ({!Check.Explorer.run}'s [?mode]) and — at [jobs > 1]
+    without a depth bound — drops the parallel engine's level epochs
+    (barrier-free).  On clean exhaustive runs the explored graph and the
+    verdict are identical across the two modes by construction (what the
+    parity suite asserts); parallel truncated runs keep exact state
+    counts but a scheduling-dependent prefix, and barrier-free depths are
+    discovery depths. *)
 val explore_raw :
   ?max_states:int ->
   ?max_depth:int ->
   ?jobs:int ->
   ?seed:int array ->
-  ?use_codec:bool ->
   ?mode:[ `Deterministic | `Throughput ] ->
   ?sink:Obs.Trace.sink ->
   ?metrics:Obs.Metrics.t ->
   ?prof:Obs.Prof.t ->
   ('s, 'a) subject ->
-  raw
+  Check.Explorer.stats * verdict * float
 
 (** The {!Check.Shrink} oracle for a subject: same automaton, invariants,
     step property and quiescence notion the analyzer explores with, so a

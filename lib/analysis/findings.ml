@@ -186,182 +186,119 @@ let pp_report ppf r =
   Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)
-(* Hand-rolled JSON (no JSON library in the build environment).        *)
+(* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = Printf.sprintf "\"%s\"" (json_escape s)
-let jfield k v = Printf.sprintf "%s:%s" (jstr k) v
-let jobj fields = "{" ^ String.concat "," fields ^ "}"
-let jarr elts = "[" ^ String.concat "," elts ^ "]"
+let str s = Obs.Json.Str s
+let opt f = function None -> Obs.Json.Null | Some x -> f x
+let class_pair a b = [ ("class_a", str a); ("class_b", str b) ]
 
 let finding_json f =
-  let base = jfield "kind" (jstr (kind f)) in
-  match f with
-  | Invariant_violation { invariant; state } ->
-      jobj
-        [ base; jfield "invariant" (jstr invariant); jfield "state" (jstr state) ]
-  | Step_failure { action; detail } ->
-      jobj [ base; jfield "action" (jstr action); jfield "detail" (jstr detail) ]
-  | Key_clash { state_a; state_b } ->
-      jobj
+  let fields =
+    match f with
+    | Invariant_violation { invariant; state } ->
+        [ ("invariant", str invariant); ("state", str state) ]
+    | Step_failure { action; detail } ->
+        [ ("action", str action); ("detail", str detail) ]
+    | Key_clash { state_a; state_b } ->
+        [ ("state_a", str state_a); ("state_b", str state_b) ]
+    | Unsound_candidate { action; state } ->
+        [ ("action", str action); ("state", str state) ]
+    | Missed_enabled { action; cls; state } ->
+        [ ("action", str action); ("class", str cls); ("state", str state) ]
+    | Dead_class { cls } -> [ ("class", str cls) ]
+    | Vacuous_invariant { invariant; states } ->
+        [ ("invariant", str invariant); ("states", Obs.Json.Int states) ]
+    | Deadlock { state; depth } ->
+        [ ("state", str state); ("depth", Obs.Json.Int depth) ]
+    | Footprint_violation { cls; fam; action } ->
+        [ ("class", str cls); ("family", str fam); ("action", str action) ]
+    | Unsound_certification { cls_a; cls_b; detail } ->
+        class_pair cls_a cls_b @ [ ("detail", str detail) ]
+    | Symmetry_broken { perm; fam; detail } ->
         [
-          base;
-          jfield "state_a" (jstr state_a);
-          jfield "state_b" (jstr state_b);
+          ("permutation", str perm);
+          ("family", str fam);
+          ("detail", str detail);
         ]
-  | Unsound_candidate { action; state } ->
-      jobj [ base; jfield "action" (jstr action); jfield "state" (jstr state) ]
-  | Missed_enabled { action; cls; state } ->
-      jobj
-        [
-          base;
-          jfield "action" (jstr action);
-          jfield "class" (jstr cls);
-          jfield "state" (jstr state);
-        ]
-  | Dead_class { cls } -> jobj [ base; jfield "class" (jstr cls) ]
-  | Vacuous_invariant { invariant; states } ->
-      jobj
-        [
-          base;
-          jfield "invariant" (jstr invariant);
-          jfield "states" (string_of_int states);
-        ]
-  | Deadlock { state; depth } ->
-      jobj
-        [
-          base;
-          jfield "state" (jstr state);
-          jfield "depth" (string_of_int depth);
-        ]
-  | Footprint_violation { cls; fam; action } ->
-      jobj
-        [
-          base;
-          jfield "class" (jstr cls);
-          jfield "family" (jstr fam);
-          jfield "action" (jstr action);
-        ]
-  | Unsound_certification { cls_a; cls_b; detail } ->
-      jobj
-        [
-          base;
-          jfield "class_a" (jstr cls_a);
-          jfield "class_b" (jstr cls_b);
-          jfield "detail" (jstr detail);
-        ]
-  | Symmetry_broken { perm; fam; detail } ->
-      jobj
-        [
-          base;
-          jfield "permutation" (jstr perm);
-          jfield "family" (jstr fam);
-          jfield "detail" (jstr detail);
-        ]
-  | Reduction_divergence { detail } ->
-      jobj [ base; jfield "detail" (jstr detail) ]
+    | Reduction_divergence { detail } -> [ ("detail", str detail) ]
+  in
+  Obs.Json.Obj (("kind", str (kind f)) :: fields)
 
 let coverage_json c =
-  jobj
+  Obs.Json.Obj
     [
-      jfield "invariant" (jstr c.cov_invariant);
-      jfield "states" (string_of_int c.cov_states);
-      jfield "antecedent_held"
-        (match c.cov_antecedent with
-        | None -> "null"
-        | Some n -> string_of_int n);
+      ("invariant", str c.cov_invariant);
+      ("states", Obs.Json.Int c.cov_states);
+      ("antecedent_held", opt (fun n -> Obs.Json.Int n) c.cov_antecedent);
     ]
 
 let footprint_json fp =
-  jobj
+  Obs.Json.Obj
     [
-      jfield "classes" (string_of_int fp.fp_classes);
-      jfield "conflicts"
-        (jarr
-           (List.map
-              (fun (a, b, w) ->
-                jobj
-                  [
-                    jfield "class_a" (jstr a);
-                    jfield "class_b" (jstr b);
-                    jfield "witness" (jstr w);
-                  ])
-              fp.fp_conflicts));
-      jfield "independent"
-        (jarr
-           (List.map
-              (fun (a, b) ->
-                jobj [ jfield "class_a" (jstr a); jfield "class_b" (jstr b) ])
-              fp.fp_independent));
-      jfield "audit_steps" (string_of_int fp.fp_audit_steps);
-      jfield "audit_pairs" (string_of_int fp.fp_audit_pairs);
-      jfield "audit_joined" (string_of_int fp.fp_audit_joined);
-      jfield "equivariant"
-        (match fp.fp_equivariant with
-        | None -> "null"
-        | Some true -> "true"
-        | Some false -> "false");
-      jfield "symmetry_checks" (string_of_int fp.fp_sym_checked);
-      jfield "symmetry_witness"
-        (match fp.fp_sym_witness with None -> "null" | Some w -> jstr w);
+      ("classes", Obs.Json.Int fp.fp_classes);
+      ( "conflicts",
+        Obs.Json.List
+          (List.map
+             (fun (a, b, w) ->
+               Obs.Json.Obj (class_pair a b @ [ ("witness", str w) ]))
+             fp.fp_conflicts) );
+      ( "independent",
+        Obs.Json.List
+          (List.map
+             (fun (a, b) -> Obs.Json.Obj (class_pair a b))
+             fp.fp_independent) );
+      ("audit_steps", Obs.Json.Int fp.fp_audit_steps);
+      ("audit_pairs", Obs.Json.Int fp.fp_audit_pairs);
+      ("audit_joined", Obs.Json.Int fp.fp_audit_joined);
+      ("equivariant", opt (fun b -> Obs.Json.Bool b) fp.fp_equivariant);
+      ("symmetry_checks", Obs.Json.Int fp.fp_sym_checked);
+      ("symmetry_witness", opt str fp.fp_sym_witness);
     ]
+
+(* Floats keep the report's fixed precision: the value written is the
+   rounded one, not the full-precision measurement. *)
+let fixed digits x =
+  Obs.Json.Float (float_of_string (Printf.sprintf "%.*f" digits x))
 
 let reduction_json r =
-  jobj
+  Obs.Json.Obj
     [
-      jfield "full_states" (string_of_int r.red_full_states);
-      jfield "reduced_states" (string_of_int r.red_reduced_states);
-      jfield "reduction_ratio" (Printf.sprintf "%.4f" r.red_ratio);
-      jfield "por_skipped" (string_of_int r.red_por_skipped);
-      jfield "orbit_collapsed" (string_of_int r.red_orbit_collapsed);
-      jfield "verdicts_agree" (if r.red_agrees then "true" else "false");
+      ("full_states", Obs.Json.Int r.red_full_states);
+      ("reduced_states", Obs.Json.Int r.red_reduced_states);
+      ("reduction_ratio", fixed 4 r.red_ratio);
+      ("por_skipped", Obs.Json.Int r.red_por_skipped);
+      ("orbit_collapsed", Obs.Json.Int r.red_orbit_collapsed);
+      ("verdicts_agree", Obs.Json.Bool r.red_agrees);
     ]
 
-let report_json r =
-  jobj
+let report_value r =
+  Obs.Json.Obj
     [
-      jfield "entry" (jstr r.entry);
-      jfield "states" (string_of_int r.states);
-      jfield "transitions" (string_of_int r.transitions);
-      jfield "depth" (string_of_int r.depth);
-      jfield "truncated" (if r.truncated then "true" else "false");
-      jfield "classes"
-        (jobj
-           (List.map (fun (cls, n) -> jfield cls (string_of_int n)) r.classes));
-      jfield "coverage" (jarr (List.map coverage_json r.coverage));
-      jfield "findings" (jarr (List.map finding_json r.findings));
-      jfield "inconclusive" (jarr (List.map jstr r.inconclusive));
-      jfield "footprint"
-        (match r.footprint with None -> "null" | Some fp -> footprint_json fp);
-      jfield "reduction"
-        (match r.reduction with None -> "null" | Some red -> reduction_json red);
-      (* the "%f"-style renderings always contain '.', as JSON floats must *)
-      jfield "elapsed_ms" (Printf.sprintf "%.3f" r.elapsed_ms);
-      jfield "states_per_sec" (Printf.sprintf "%.1f" r.states_per_sec);
+      ("entry", str r.entry);
+      ("states", Obs.Json.Int r.states);
+      ("transitions", Obs.Json.Int r.transitions);
+      ("depth", Obs.Json.Int r.depth);
+      ("truncated", Obs.Json.Bool r.truncated);
+      ( "classes",
+        Obs.Json.Obj (List.map (fun (cls, n) -> (cls, Obs.Json.Int n)) r.classes)
+      );
+      ("coverage", Obs.Json.List (List.map coverage_json r.coverage));
+      ("findings", Obs.Json.List (List.map finding_json r.findings));
+      ("inconclusive", Obs.Json.List (List.map str r.inconclusive));
+      ("footprint", opt footprint_json r.footprint);
+      ("reduction", opt reduction_json r.reduction);
+      ("elapsed_ms", fixed 3 r.elapsed_ms);
+      ("states_per_sec", fixed 1 r.states_per_sec);
     ]
+
+let report_json r = Obs.Json.to_string (report_value r)
 
 let reports_json rs =
-  let total =
-    List.fold_left (fun n r -> n + List.length r.findings) 0 rs
-  in
-  jobj
-    [
-      jfield "entries" (jarr (List.map report_json rs));
-      jfield "total_findings" (string_of_int total);
-    ]
+  let total = List.fold_left (fun n r -> n + List.length r.findings) 0 rs in
+  Obs.Json.to_string
+    (Obs.Json.Obj
+       [
+         ("entries", Obs.Json.List (List.map report_value rs));
+         ("total_findings", Obs.Json.Int total);
+       ])

@@ -265,10 +265,15 @@ let joinable ~key ~candidates ~step ~depth ~cap s1 s2 =
   let k1 = keys_within s1 and k2 = keys_within s2 in
   Hashtbl.fold (fun k () acc -> acc || Hashtbl.mem k2 k) k1 false
 
+(* Audit budgets: steps replayed for write conformance, co-enabled pairs
+   swap-replayed. *)
+let max_steps = 2000
+let max_pairs = 2000
+
 let audit (type s a) (sch : (s, a) schema) ~(step : s -> a -> s)
     ~(enabled : s -> a -> bool) ~(candidates : s -> a list) ~(key : s -> string)
     ~(pp_action : Format.formatter -> a -> unit)
-    ~(samples : (s * a list) list) ?(max_pairs = 2000) ?(max_steps = 2000) () =
+    ~(samples : (s * a list) list) () =
   let steps = ref 0 and pairs = ref 0 and joined = ref 0 in
   let violations = ref [] in
   let report v = violations := v :: !violations in

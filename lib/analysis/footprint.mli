@@ -127,7 +127,7 @@ type audit_report = {
     finds a common successor (consumer-guided deep pass first, then a
     blind shallow sweep).  [candidates] must be the deterministic
     enabled-candidate function used by the analyzer's per-state RNG
-    discipline. *)
+    discipline.  At most 2,000 steps and 2,000 pairs are replayed. *)
 val audit :
   ('s, 'a) schema ->
   step:('s -> 'a -> 's) ->
@@ -136,7 +136,5 @@ val audit :
   key:('s -> string) ->
   pp_action:(Format.formatter -> 'a -> unit) ->
   samples:('s * 'a list) list ->
-  ?max_pairs:int ->
-  ?max_steps:int ->
   unit ->
   audit_report

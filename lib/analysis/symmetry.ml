@@ -102,13 +102,15 @@ let diff_fam project s1 s2 =
      multisets;
    - invariant symmetry: each named predicate agrees on s and πs.
    Violations carry the offending permutation and, for step divergences,
-   the state family where the two sides differ. *)
+   the state family where the two sides differ.  At most [max_checks]
+   (action, permutation) pairs are checked. *)
+let max_checks = 4000
+
 let audit (type s a) (spec : (s, a) spec) ~(step : s -> a -> s)
     ~(enabled : s -> a -> bool) ~(candidates : (s -> a list) option)
     ~(key : s -> string) ~(project : s -> (string * string) list)
     ~(pp_action : Format.formatter -> a -> unit)
-    ~(checks : (string * (s -> bool)) list) ~(samples : (s * a list) list)
-    ?(max_checks = 4000) () =
+    ~(checks : (string * (s -> bool)) list) ~(samples : (s * a list) list) () =
   let perms = permutations spec.procs in
   let checked = ref 0 in
   let violations = ref [] in

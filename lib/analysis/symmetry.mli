@@ -40,7 +40,7 @@ type audit_report = { sym_checked : int; sym_violations : violation list }
     π-enabledness, step commutation (with the divergent state family
     localized via [project]), candidate-set π-closure (only when the
     spec declares [deterministic]), and symmetry of the named
-    predicates in [checks]. *)
+    predicates in [checks]; at most 4,000 (action, permutation) pairs. *)
 val audit :
   ('s, 'a) spec ->
   step:('s -> 'a -> 's) ->
@@ -51,6 +51,5 @@ val audit :
   pp_action:(Format.formatter -> 'a -> unit) ->
   checks:(string * ('s -> bool)) list ->
   samples:('s * 'a list) list ->
-  ?max_checks:int ->
   unit ->
   audit_report

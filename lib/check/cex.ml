@@ -144,19 +144,18 @@ let load ~path =
 
 (* The union of the generator's proposals at [state] over [salts]
    deterministic RNG streams.  Salt 0 is the explorer's own per-state
-   stream (seeded from the fingerprint exactly as {!Explorer.run} with
-   [state_rng] does); the extra salts re-draw the generator's probabilistic
-   gates so rarely-proposed actions — fault injections below probability
-   1, paced view changes — surface even when the explorer's single draw
-   withheld them.  This is what lets shrinking and reconstruction move
-   through transitions the explored subgraph never contained. *)
-let candidate_draws (type s a)
-    (module A : Ioa.Automaton.GENERATIVE with type state = s and type action = a)
-    ~key ~seed ~salts state =
-  let fp = Fingerprint.of_string (key state) in
+   draw ({!Explorer.candidates}); the extra salts re-draw the generator's
+   probabilistic gates so rarely-proposed actions — fault injections below
+   probability 1, paced view changes — surface even when the explorer's
+   single draw withheld them.  This is what lets shrinking and
+   reconstruction move through transitions the explored subgraph never
+   contained. *)
+let candidate_draws automaton ~key ~seed ~salts state =
+  (* render the key once for all the salts *)
+  let k = key state in
   let draw salt =
-    let s = if salt = 0 then seed else Array.append seed [| salt |] in
-    A.candidates (Random.State.make (Fingerprint.seed fp s)) state
+    let seed = if salt = 0 then seed else Array.append seed [| salt |] in
+    Explorer.candidates automaton ~key:(fun _ -> k) ~seed state
   in
   List.concat_map draw (List.init (max 1 salts) Fun.id)
 

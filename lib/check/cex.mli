@@ -47,10 +47,10 @@ val default_salts : int
 
 (** [candidate_draws (module A) ~key ~seed ~salts state] is the union of
     the generator's proposals at [state] over [salts] deterministic RNG
-    streams.  Salt 0 reproduces the explorer's own per-state draw; the
-    extra salts re-roll the generator's probabilistic gates so that
-    rarely-proposed actions (fault injections below probability 1, paced
-    view changes) surface too.  Deterministic in [(seed, state)]. *)
+    streams.  Salt 0 is the explorer's own per-state draw
+    ({!Explorer.candidates}); the extra salts re-roll the generator's
+    probabilistic gates so that rarely-proposed actions (fault injections
+    below probability 1, paced view changes) surface too.  Deterministic in [(seed, state)]. *)
 val candidate_draws :
   (module Ioa.Automaton.GENERATIVE with type state = 's and type action = 'a) ->
   key:('s -> string) ->

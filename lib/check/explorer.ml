@@ -69,6 +69,19 @@ let flush_batch = 64
 let ring_capacity = 256
 let expand_chunk = 64
 
+(* Expanded states between two progress points. *)
+let progress_every = 10_000
+
+(* The per-state RNG discipline: the generator's RNG at a state is seeded
+   from the state's fingerprint and the run seed, so its draw is a pure
+   function of (seed, state) whatever the visit order. *)
+let per_state_rng ~seed fp = Random.State.make (Fingerprint.seed fp seed)
+
+let candidates (type s a)
+    (module A : Ioa.Automaton.GENERATIVE with type state = s and type action = a)
+    ~key ~seed state =
+  A.candidates (per_state_rng ~seed (Fingerprint.of_string (key state))) state
+
 (* Waits until [ready ()] by spinning.  With [~sleepy] (more workers than
    cores) it backs off to short sleeps after [spin_limit] polls, so a
    worker waiting on a descheduled peer hands its core over instead of
@@ -95,8 +108,8 @@ let run (type s a)
     (module A : Ioa.Automaton.GENERATIVE with type state = s and type action = a)
     ~key ~invariants ?(seed = [| 0 |]) ?(max_states = 200_000) ?max_depth
     ?(jobs = 1) ?state_rng ?(trace = false) ?check_step ?check_key ?ample
-    ?canon ?codec ?(mode = `Deterministic) ?observe ?sink ?metrics ?prof
-    ?(progress_every = 10_000) ~init () =
+    ?canon ?codec ?(mode = `Deterministic) ?observe ?sink ?metrics ?prof ~init
+    () =
   let jobs = max 1 jobs in
   (match prof with
   | Some p when Obs.Prof.slots p < jobs ->
@@ -181,7 +194,6 @@ let run (type s a)
           pf_leave ~slot ph_fp;
           fp
   in
-  let state_rng_of fp = Random.State.make (Fingerprint.seed fp seed) in
   (* Orbit canonicalization rewrites every state to its representative
      before fingerprinting, the initial state included.  Canonicalizers
      return their argument physically when it already is the
@@ -417,7 +429,7 @@ let run (type s a)
     push 0 init init_fp None;
     while (not (Atomic.get stop)) && not (Queue.is_empty queue) do
       let depth, state, fp = Queue.pop queue in
-      let rng = if state_rng then state_rng_of fp else rng in
+      let rng = if state_rng then per_state_rng ~seed fp else rng in
       expand ~slot:0 ~rng ~frontier:(Queue.length queue) depth state fp emit
     done
   end
@@ -609,7 +621,7 @@ let run (type s a)
               && not (Atomic.get stop)
             do
               let depth, state, fp = Queue.pop frontier in
-              expand ~slot:wid ~rng:(state_rng_of fp)
+              expand ~slot:wid ~rng:(per_state_rng ~seed fp)
                 ~frontier:(Queue.length frontier) depth state fp route;
               Atomic.decr !pending;
               incr k

@@ -197,8 +197,8 @@ type ('s, 'a) outcome = {
            and its enabled subset, before the transitions fire.  Serialized
            under [jobs > 1] (calls arrive in scheduling order).
     @param sink trace sink for progress: a ["progress"] point (states
-           visited, transitions, frontier size, depth) every
-           [progress_every] expanded states and a final ["done"] point
+           visited, transitions, frontier size, depth) every 10,000
+           expanded states and a final ["done"] point
            carrying the truncation flag — enough to compute states/sec
            while the search crunches.  Component ["check.explorer"].
     @param metrics on completion, bumps the [explorer.states] /
@@ -223,8 +223,7 @@ type ('s, 'a) outcome = {
            each progress point is followed by an [Obs.Prof.heartbeat]
            (states/sec, bytes/state, per-phase split so far).  Omitting
            the parameter leaves the search byte-identical to unprofiled
-           runs — the hooks compile to nothing.
-    @param progress_every progress-event stride (default 10_000). *)
+           runs — the hooks compile to nothing. *)
 val run :
   (module Ioa.Automaton.GENERATIVE with type state = 's and type action = 'a) ->
   key:('s -> string) ->
@@ -245,10 +244,23 @@ val run :
   ?sink:Obs.Trace.sink ->
   ?metrics:Obs.Metrics.t ->
   ?prof:Obs.Prof.t ->
-  ?progress_every:int ->
   init:'s ->
   unit ->
   ('s, 'a) outcome
+
+(** [candidates (module A) ~key ~seed s] is the explorer's own candidate
+    draw at [s] under the per-state RNG discipline: [A.candidates] with an
+    RNG seeded from the fingerprint of [key s] and the run [seed] — what
+    [run ~key ~seed ~state_rng:true] (or [jobs > 1]) proposes at [s]
+    without a [?codec].  Unfiltered; callers wanting the fired set keep
+    the [A.enabled] subset.  {!Cex} re-draws with it (salting [seed]) and
+    [lib/analysis] replays its audits against it. *)
+val candidates :
+  (module Ioa.Automaton.GENERATIVE with type state = 's and type action = 'a) ->
+  key:('s -> string) ->
+  seed:int array ->
+  's ->
+  'a list
 
 (** A profiler pre-interned with the explorer's phase names ([expand],
     [encode], [fingerprint], [dedup], [route], [flush], [idle],

@@ -244,7 +244,10 @@ let simplify_pass o repro fuel xs =
       in
       loop xs
 
-let shrink ?(simplify_fuel = 256) o target strs =
+(* Oracle evaluations the simplification pass may spend. *)
+let simplify_fuel = 256
+
+let shrink o target strs =
   let repro = reproduces o target in
   if not (repro strs) then strs
   else begin

@@ -73,11 +73,11 @@ val replay : ('s, 'a) oracle -> string list -> ('s, 'a) verdict
 val reproduces : ('s, 'a) oracle -> failure -> string list -> bool
 (** Does the schedule exhibit exactly this failure class? *)
 
-val shrink : ?simplify_fuel:int -> ('s, 'a) oracle -> failure -> string list -> string list
+val shrink : ('s, 'a) oracle -> failure -> string list -> string list
 (** [shrink o target strs] minimizes [strs] while preserving [target].
     Returns [strs] unchanged when it does not reproduce [target] to begin
-    with.  [simplify_fuel] bounds the oracle evaluations spent in the
-    simplification pass (default 256). *)
+    with.  The simplification pass spends at most 256 oracle
+    evaluations. *)
 
 val is_one_minimal : ('s, 'a) oracle -> failure -> string list -> bool
 (** The schedule reproduces [target] and no single-action removal does. *)

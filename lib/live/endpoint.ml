@@ -90,7 +90,7 @@ let now () = Unix.gettimeofday ()
    so deferring them costs latency, not correctness. *)
 let rtx_backpressure = 1 lsl 20
 
-let serve ?trace_oc ~me ~retransmit_s fd =
+let serve ~trace_oc ~me ~retransmit_s fd =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let conn = Conn.create fd in
   Conn.send conn (Wire.Hello { proc = me });
@@ -173,6 +173,6 @@ let run cfg =
     ~finally:(fun () ->
       match trace_oc with Some oc -> close_out_noerr oc | None -> ())
     (fun () ->
-      serve ?trace_oc ~me:cfg.me ~retransmit_s:cfg.retransmit_s fd)
+      serve ~trace_oc ~me:cfg.me ~retransmit_s:cfg.retransmit_s fd)
 
 let spawn_domain cfg = Domain.spawn (fun () -> run cfg)

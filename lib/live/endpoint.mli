@@ -34,15 +34,6 @@ type config = {
     [Unix.Unix_error] if the initial connect fails. *)
 val run : config -> unit
 
-(** Run the endpoint loop over an already-connected descriptor (domain
-    mode; also what {!run} calls after connecting). *)
-val serve :
-  ?trace_oc:out_channel ->
-  me:Prelude.Proc.t ->
-  retransmit_s:float ->
-  Unix.file_descr ->
-  unit
-
 (** [spawn_domain cfg] connects and serves on a fresh domain; join the
     result after the hub sends [Shutdown]. *)
 val spawn_domain : config -> unit Domain.t

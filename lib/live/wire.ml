@@ -105,12 +105,10 @@ module Reader = struct
     mutable buf : bytes;
     mutable off : int;
     mutable len : int;  (* exclusive end of valid data *)
-    max_frame : int;
     mutable err : string option;
   }
 
-  let create ?(max_frame = max_frame) () =
-    { buf = Bytes.create 65536; off = 0; len = 0; max_frame; err = None }
+  let create () = { buf = Bytes.create 65536; off = 0; len = 0; err = None }
 
   let pending t = t.len - t.off
 
@@ -141,7 +139,7 @@ module Reader = struct
         if pending t < 4 then Ok None
         else
           let n = Int32.to_int (Bytes.get_int32_be t.buf t.off) in
-          if n < 0 || n > t.max_frame then begin
+          if n < 0 || n > max_frame then begin
             let e = Printf.sprintf "frame length %d out of range" n in
             t.err <- Some e;
             Error e

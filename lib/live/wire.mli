@@ -64,7 +64,7 @@ val to_wire : frame -> bytes
 module Reader : sig
   type t
 
-  val create : ?max_frame:int -> unit -> t
+  val create : unit -> t
 
   (** Append [n] bytes of [src] starting at [off]. *)
   val feed : t -> bytes -> int -> int -> unit

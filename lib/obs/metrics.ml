@@ -1,7 +1,7 @@
 (* Domain-safety: the registry mutex guards table structure (creation and
    lookup of cells); counters are atomics bumped lock-free once located;
    histogram recorders are sharded per domain (shard index = domain id mod
-   shard_count, each shard behind its own mutex) and merged at snapshot
+   series_shards, each shard behind its own mutex) and merged at snapshot
    time.  One registry can therefore be threaded through the parallel
    explorer's worker domains directly. *)
 

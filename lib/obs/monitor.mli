@@ -7,8 +7,8 @@
     on the event that completes a violation — so defects are flagged
     while the run is in flight, not by a post-mortem log scan.  A rule
     latches after its first violation (a stream past a broken prefix
-    proves nothing further).  Wrap a monitor as a {!Trace.sink} (usually
-    one arm of a {!Trace.tee}) to check any instrumented run online. *)
+    proves nothing further).  Wrap a monitor as a {!Trace.sink} to check
+    any instrumented run online. *)
 
 type violation = { rule : string; at_seq : int; reason : string }
 
@@ -40,8 +40,8 @@ val events_seen : t -> int
     rules; each fresh violation is additionally emitted on [out] as a
     ["violation"] point (component ["obs.monitor"]) carrying the rule
     name, the triggering event's seq and the reason.  [out] must not be
-    this same sink (the per-sink mutex is not reentrant) — tee the
-    monitor alongside a JSONL sink and pass that sink as [out]. *)
+    this same sink (the per-sink mutex is not reentrant), e.g. pass the
+    run's JSONL sink. *)
 val sink : ?out:Trace.sink -> t -> Trace.sink
 
 (** {2 Built-in rules}

@@ -104,11 +104,6 @@ let memory ?(capacity = 65536) () =
       Mutex.unlock sink.mu;
       es )
 
-let reporter ?(level = Logs.Debug) ?src () =
-  make (fun e -> Logs.msg ?src level (fun m -> m "%a" pp_event e))
-
-let tee sinks = make (fun e -> List.iter (fun s -> s.write e) sinks)
-
 let null () = make ignore
 
 let callback f = make f

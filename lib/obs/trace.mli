@@ -11,16 +11,14 @@
     stack take [?sink:Trace.sink] defaulting to no hook at all, so
     uninstrumented runs are byte-for-byte identical to the pre-obs code.
     Provided sinks: an in-memory ring buffer, a JSONL channel writer, a
-    [Logs]-based reporter, a tee, and an arbitrary callback.
+    null sink and an arbitrary callback.
 
     Every sink is domain-safe: a per-sink mutex serializes sequence
     assignment and the write itself, so one sink may be passed to
     [Check.Explorer.run ~jobs:n] and emitted into from every worker
     domain — the stream stays dense and monotone and writes never
-    interleave.  The mutex covers emission through the sink only: do not
-    also write to a [tee]'s child sink directly from another domain, and
-    do not emit into a sink from within its own write callback (the
-    mutex is not reentrant). *)
+    interleave.  Do not emit into a sink from within its own write
+    callback (the mutex is not reentrant). *)
 
 type value = Str of string | Int of int | Float of float | Bool of bool
 
@@ -70,14 +68,6 @@ val memory : ?capacity:int -> unit -> sink * (unit -> event list)
 
 (** One JSON object per line on the channel, flushed per event. *)
 val to_channel : out_channel -> sink
-
-(** Report every event through [Logs] at [level] (default [Logs.Debug])
-    on [src] (default the application source). *)
-val reporter : ?level:Logs.level -> ?src:Logs.src -> unit -> sink
-
-(** Forward every event to all of [sinks]; the tee assigns the sequence
-    numbers. *)
-val tee : sink list -> sink
 
 (** A sink that drops everything (still counts sequence numbers). *)
 val null : unit -> sink

@@ -24,7 +24,7 @@ let heal part =
   in
   go part
 
-let schedule ?(storm = storm) rng ~universe ~phases ~steps_per_phase =
+let schedule rng ~universe ~phases ~steps_per_phase =
   if Proc.Set.is_empty universe then
     invalid_arg "Faults.schedule: empty universe";
   if phases <= 0 then invalid_arg "Faults.schedule: phases <= 0";

@@ -28,7 +28,7 @@ type phase = {
 }
 
 (** [schedule rng ~universe ~phases ~steps_per_phase] generates an
-    alternating calm/storm soak plan of [phases] segments (the first is
+    alternating calm/{!storm} soak plan of [phases] segments (the first is
     always calm on the fully-connected universe).  Entering a storm may
     split the connectivity state; returning to calm merges components back.
     The plan always ends with a calm segment on a fully-healed partition
@@ -39,7 +39,6 @@ type phase = {
     Raises [Invalid_argument] on an empty universe, [phases <= 0] or
     [steps_per_phase <= 0]. *)
 val schedule :
-  ?storm:intensity ->
   Random.State.t ->
   universe:Prelude.Proc.Set.t ->
   phases:int ->

@@ -75,7 +75,7 @@ let histogram ~buckets ~lo ~hi xs =
     xs;
   counts
 
-let pct ?(decimals = 1) r = Printf.sprintf "%.*f%%" decimals (100. *. r)
+let pct r = Printf.sprintf "%.1f%%" (100. *. r)
 
 let rate outcomes =
   match outcomes with

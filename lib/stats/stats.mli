@@ -34,8 +34,8 @@ val pp_summary : Format.formatter -> summary -> unit
     out-of-range samples are clamped to the edge buckets. *)
 val histogram : buckets:int -> lo:float -> hi:float -> float list -> int array
 
-(** A ratio rendered as a percentage with [n] decimals. *)
-val pct : ?decimals:int -> float -> string
+(** A ratio rendered as a percentage with one decimal. *)
+val pct : float -> string
 
 (** Mean of 0/1 outcomes. *)
 val rate : bool list -> float

@@ -371,53 +371,57 @@ let mode_parity () =
     (fun (Reg.Entry e) ->
       incr total;
       let raw ~jobs ~mode =
-        An.explore_raw ~max_states:6_000 ~jobs ~mode e.subject
+        let st, v, _ =
+          An.explore_raw ~max_states:6_000 ~jobs ~mode e.subject
+        in
+        (st, v)
       in
       List.iter
         (fun jobs ->
-          let det = raw ~jobs ~mode:`Deterministic in
-          let thr = raw ~jobs ~mode:`Throughput in
-          let clean r =
-            r.An.raw_violation = None && not r.An.raw_step_failure
-          in
+          let det, dv = raw ~jobs ~mode:`Deterministic in
+          let thr, tv = raw ~jobs ~mode:`Throughput in
+          let clean v = v.An.violation = None && not v.An.step_failure in
           if jobs = 1 then
             Alcotest.(check bool)
               (Printf.sprintf "%s jobs:%d — identical verdicts" e.name jobs)
               true
-              (det.An.raw_violation = thr.An.raw_violation
-              && det.An.raw_step_failure = thr.An.raw_step_failure)
-          else if not (det.An.raw_truncated || thr.An.raw_truncated) then
+              (dv.An.violation = tv.An.violation
+              && dv.An.step_failure = tv.An.step_failure)
+          else if
+            not (det.Check.Explorer.truncated || thr.Check.Explorer.truncated)
+          then
             (* Cross-discipline: both must fail the same way, but which of
                several violated invariants is hit first is
                scheduling-dependent. *)
             Alcotest.(check bool)
               (Printf.sprintf "%s jobs:%d — same verdict class" e.name jobs)
               true
-              (Option.is_some det.An.raw_violation
-               = Option.is_some thr.An.raw_violation
-              && det.An.raw_step_failure = thr.An.raw_step_failure);
+              (Option.is_some dv.An.violation
+               = Option.is_some tv.An.violation
+              && dv.An.step_failure = tv.An.step_failure);
           if
-            (not (det.An.raw_truncated || thr.An.raw_truncated))
-            && (jobs = 1 || (clean det && clean thr))
+            (not (det.Check.Explorer.truncated || thr.Check.Explorer.truncated))
+            && (jobs = 1 || (clean dv && clean tv))
           then begin
             if jobs = 1 then incr exhausted;
             Alcotest.(check int)
               (Printf.sprintf "%s jobs:%d — same state count" e.name jobs)
-              det.An.raw_states thr.An.raw_states;
+              det.Check.Explorer.states thr.Check.Explorer.states;
             Alcotest.(check int)
               (Printf.sprintf "%s jobs:%d — same transition count" e.name jobs)
-              det.An.raw_transitions thr.An.raw_transitions;
+              det.Check.Explorer.transitions thr.Check.Explorer.transitions;
             if jobs = 1 then
               Alcotest.(check int)
                 (Printf.sprintf "%s jobs:%d — same depth" e.name jobs)
-                det.An.raw_depth thr.An.raw_depth
+                det.Check.Explorer.depth thr.Check.Explorer.depth
             else
               Alcotest.(check bool)
                 (Printf.sprintf
                    "%s jobs:%d — discovery depth bounds BFS depth (%d <= %d)"
-                   e.name jobs det.An.raw_depth thr.An.raw_depth)
+                   e.name jobs det.Check.Explorer.depth
+                   thr.Check.Explorer.depth)
                 true
-                (det.An.raw_depth <= thr.An.raw_depth)
+                (det.Check.Explorer.depth <= thr.Check.Explorer.depth)
           end)
         [ 1; 4 ])
     (all_entries ());

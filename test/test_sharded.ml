@@ -239,57 +239,85 @@ let test_truncation_exact_count () =
 let test_registry_sharded_parity () =
   List.iter
     (fun (Reg.Entry e) ->
-      let det = An.explore_raw ~max_states:6_000 ~jobs:1 e.subject in
-      if not det.An.raw_truncated then
+      let det, _, _ = An.explore_raw ~max_states:6_000 ~jobs:1 e.subject in
+      if not det.Check.Explorer.truncated then
         List.iter
           (fun jobs ->
-            let thr =
+            let thr, _, _ =
               An.explore_raw ~max_states:6_000 ~jobs ~mode:`Throughput
                 e.subject
             in
             Alcotest.(check bool)
               (Printf.sprintf "%s jobs:%d exhausted" e.name jobs)
-              false thr.An.raw_truncated;
+              false thr.Check.Explorer.truncated;
             Alcotest.(check int)
               (Printf.sprintf "%s jobs:%d states" e.name jobs)
-              det.An.raw_states thr.An.raw_states;
+              det.Check.Explorer.states thr.Check.Explorer.states;
             Alcotest.(check int)
               (Printf.sprintf "%s jobs:%d transitions" e.name jobs)
-              det.An.raw_transitions thr.An.raw_transitions;
+              det.Check.Explorer.transitions thr.Check.Explorer.transitions;
             Alcotest.(check bool)
               (Printf.sprintf "%s jobs:%d BFS depth %d <= discovery %d" e.name
-                 jobs det.An.raw_depth thr.An.raw_depth)
+                 jobs det.Check.Explorer.depth thr.Check.Explorer.depth)
               true
-              (det.An.raw_depth <= thr.An.raw_depth))
+              (det.Check.Explorer.depth <= thr.Check.Explorer.depth))
           [ 1; 4 ])
     (Reg.all ())
 
-(* The seeded defects must not escape the barrier-free discipline: each
-   still produces its expected failure class under a throughput
-   exploration at jobs:4. *)
+(* The seeded defects must not escape any front door: at jobs 1 and 4,
+   the barrier-free throughput exploration's verdict, [analyze]'s
+   findings and [find_cex]'s witness all name the entry's expected
+   failure class. *)
 let test_defects_caught_sharded () =
   List.iter
     (fun entry ->
       let (Reg.Entry e) = entry in
-      let r =
-        An.explore_raw ~max_states:e.max_states ~jobs:4 ~mode:`Throughput
-          e.subject
+      let expected =
+        match Reg.expected entry with
+        | Some f -> f
+        | None ->
+            Alcotest.failf "%s: defect entry without expected class" e.name
       in
-      match Reg.expected entry with
-      | None -> Alcotest.failf "%s: defect entry without expected class" e.name
-      | Some (Check.Shrink.Invariant _) ->
+      List.iter
+        (fun jobs ->
+          let what door = Printf.sprintf "%s jobs:%d %s" e.name jobs door in
+          let _, v, _ =
+            An.explore_raw ~max_states:e.max_states ~jobs ~mode:`Throughput
+              e.subject
+          in
+          let verdict_ok, finding_ok =
+            match expected with
+            | Check.Shrink.Invariant inv ->
+                ( v.An.violation = Some inv,
+                  function
+                  | Analysis.Findings.Invariant_violation { invariant; _ } ->
+                      invariant = inv
+                  | _ -> false )
+            | Check.Shrink.Step _ ->
+                ( v.An.step_failure,
+                  function
+                  | Analysis.Findings.Step_failure _ -> true | _ -> false )
+            | Check.Shrink.Deadlock ->
+                ( v.An.deadlock,
+                  function Analysis.Findings.Deadlock _ -> true | _ -> false )
+          in
+          Alcotest.(check bool) (what "explore_raw verdict") true verdict_ok;
+          let r =
+            An.analyze ~name:e.name ~max_states:e.max_states ~jobs e.subject
+          in
           Alcotest.(check bool)
-            (e.name ^ ": violation found")
-            true
-            (Option.is_some r.An.raw_violation)
-      | Some (Check.Shrink.Step _) ->
-          Alcotest.(check bool)
-            (e.name ^ ": step failure found")
-            true r.An.raw_step_failure
-      | Some Check.Shrink.Deadlock ->
-          Alcotest.(check bool)
-            (e.name ^ ": deadlock observed")
-            true r.An.raw_deadlock)
+            (what "analyze finding") true
+            (List.exists finding_ok r.Analysis.Findings.findings);
+          match
+            An.find_cex ~max_states:e.max_states ~jobs ~seed:e.cex_seed
+              ~shrink:false e.subject
+          with
+          | Error err -> Alcotest.failf "%s: %s" (what "find_cex") err
+          | Ok cex ->
+              Alcotest.(check string) (what "find_cex class")
+                (Check.Shrink.failure_to_string expected)
+                (Check.Shrink.failure_to_string cex.An.cex_failure))
+        [ 1; 4 ])
     (Reg.defects ())
 
 let () =
