@@ -1052,8 +1052,7 @@ let stack_project (s : Stk.state) =
           ^ Printf.sprintf "%d>%d=%s;" src dst
               (String.concat ","
                  (List.map
-                    (fun p ->
-                      Format.asprintf "%a" (Vs_impl.Packet.pp Msg.pp) p)
+                    (Render.to_string (Vs_impl.Packet.to_buffer Msg.to_buffer))
                     ps)))
       s.Stk.net.Stk.N.channels ""
   in

@@ -192,35 +192,47 @@ module Make (M : Msg_intf.S) = struct
   let equal_state a b = compare_state a b = 0
 
   (* Canonical full-state rendering for exhaustive-exploration dedup.
-     Injective provided [M.pp] is injective on the payload alphabet used. *)
+     Injective provided [M.to_buffer] is injective on the payload alphabet
+     used.  The per-binding lists keep Format's cut layout, newlines
+     included ({!Render.layout}); see the [state_key] documentation. *)
+  let key_to_buffer buf s =
+    let l = Render.layout buf in
+    let t = Render.text l in
+    let pair buf (m, p) =
+      M.to_buffer buf m;
+      Buffer.add_char buf '@';
+      Proc.to_buffer buf p
+    in
+    Buffer.add_char t 'C';
+    View.Set.to_buffer t s.created;
+    Buffer.add_string t "|V[";
+    Render.cut_bindings l Proc.Map.iter Proc.to_buffer "=" Gid.Bot.to_buffer
+      s.current_viewid;
+    Buffer.add_string t "]|A[";
+    Render.cut_bindings l Gid.Map.iter Gid.to_buffer ":" Proc.Set.to_buffer
+      s.attempted;
+    Buffer.add_string t "]|R[";
+    Render.cut_bindings l Gid.Map.iter Gid.to_buffer ":" Proc.Set.to_buffer
+      s.registered;
+    Buffer.add_string t "]|Q[";
+    Render.cut_bindings l Gid.Map.iter Gid.to_buffer ":" (Seqs.to_buffer pair)
+      s.queue;
+    Buffer.add_string t "]|P[";
+    Render.cut_bindings l Pg_map.iter Pg_map.key_to_buffer ":"
+      (Seqs.to_buffer M.to_buffer)
+      s.pending;
+    Buffer.add_string t "]|N[";
+    Render.cut_bindings l Pg_map.iter Pg_map.key_to_buffer "=" Render.int
+      s.next;
+    Buffer.add_string t "]|S[";
+    Render.cut_bindings l Pg_map.iter Pg_map.key_to_buffer "=" Render.int
+      s.next_safe;
+    Buffer.add_char t ']';
+    Render.finish l
+
   let state_key s =
     let buf = Buffer.create 256 in
-    let ppf = Format.formatter_of_buffer buf in
-    let pair ppf (m, p) = Format.fprintf ppf "%a@%a" M.pp m Proc.pp p in
-    Format.fprintf ppf "C%a|V[%a]|A[%a]|R[%a]|Q[%a]|P[%a]|N[%a]|S[%a]"
-      View.Set.pp s.created
-      (Format.pp_print_list (fun ppf (p, g) ->
-           Format.fprintf ppf "%a=%a;" Proc.pp p Gid.Bot.pp g))
-      (Proc.Map.bindings s.current_viewid)
-      (Format.pp_print_list (fun ppf (g, ps) ->
-           Format.fprintf ppf "%a:%a;" Gid.pp g Proc.Set.pp ps))
-      (Gid.Map.bindings s.attempted)
-      (Format.pp_print_list (fun ppf (g, ps) ->
-           Format.fprintf ppf "%a:%a;" Gid.pp g Proc.Set.pp ps))
-      (Gid.Map.bindings s.registered)
-      (Format.pp_print_list (fun ppf (g, q) ->
-           Format.fprintf ppf "%a:%a;" Gid.pp g (Seqs.pp pair) q))
-      (Gid.Map.bindings s.queue)
-      (Format.pp_print_list (fun ppf ((p, g), q) ->
-           Format.fprintf ppf "%a.%a:%a;" Proc.pp p Gid.pp g (Seqs.pp M.pp) q))
-      (Pg_map.bindings s.pending)
-      (Format.pp_print_list (fun ppf ((p, g), n) ->
-           Format.fprintf ppf "%a.%a=%d;" Proc.pp p Gid.pp g n))
-      (Pg_map.bindings s.next)
-      (Format.pp_print_list (fun ppf ((p, g), n) ->
-           Format.fprintf ppf "%a.%a=%d;" Proc.pp p Gid.pp g n))
-      (Pg_map.bindings s.next_safe);
-    Format.pp_print_flush ppf ();
+    key_to_buffer buf s;
     Buffer.contents buf
 
   (* Flat canonical codec over the same eight components [state_key]

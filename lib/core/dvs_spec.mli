@@ -56,10 +56,21 @@ module Make (M : Prelude.Msg_intf.S) : sig
 
   val compare_state : state -> state -> int
 
-  (** A canonical rendering of the entire state, injective whenever [M.pp]
-      is injective on the alphabet in use — the dedup key for exhaustive
-      exploration. *)
+  (** A canonical rendering of the entire state, injective whenever
+      [M.to_buffer] is injective on the alphabet in use — the dedup key
+      for exhaustive exploration.
+
+      The key contains ["\n"]s: the Format layout newlines that a cut hint
+      between per-binding entries produces at the default margin (always
+      one before the last entry of a list of two or more, and one before
+      any entry that would not fit on the current line).
+      They carry no information and are kept only so the key stays
+      byte-identical: string keys are the analyzer's dedup identity and,
+      on RNG-gated registry entries, the seed of the per-state RNG. *)
   val state_key : state -> string
+
+  (** [key_to_buffer buf s] appends [state_key s] to [buf]. *)
+  val key_to_buffer : Buffer.t -> state -> unit
 
   (** Flat canonical codec over the same components as [state_key]:
       injective up to [equal_state] whenever the message codec is

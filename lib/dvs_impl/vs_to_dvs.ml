@@ -285,39 +285,60 @@ module Make (M : Msg_intf.S) = struct
 
   (* Canonical full-state rendering used as an exhaustive-exploration dedup
      key component: every field is included (history variables too), so
-     distinct node states never share a key.  Injective whenever [M.pp] is
-     injective on the alphabet in use; the explorer's key audit
-     ([check_key]) verifies this on the instances the analyzer runs. *)
-  let state_key s =
-    let buf = Buffer.create 512 in
-    let ppf = Format.formatter_of_buffer buf in
-    let semi ppf () = Format.pp_print_string ppf ";" in
-    let plist pp_x ppf xs = Format.pp_print_list ~pp_sep:semi pp_x ppf xs in
-    let mp ppf (m, q) = Format.fprintf ppf "%a@%a" M.pp m Proc.pp q in
-    let info ppf (v, vs) =
-      Format.fprintf ppf "(%a,%a)" View.pp v View.Set.pp vs
+     distinct node states never share a key.  Injective whenever
+     [M.to_buffer] is injective on the alphabet in use; the explorer's key
+     audit ([check_key]) verifies this on the instances the analyzer
+     runs. *)
+  let key_to_buffer buf s =
+    let str = Buffer.add_string buf in
+    let view_opt = Render.option ~none:"⊥" View.to_buffer in
+    let mp buf (m, q) =
+      M.to_buffer buf m;
+      Buffer.add_char buf '@';
+      Proc.to_buffer buf q
     in
-    let gmap pp_x ppf m =
-      plist (fun ppf (g, x) -> Format.fprintf ppf "%a:%a" Gid.pp g pp_x x) ppf
-        (Gid.Map.bindings m)
+    let info buf (v, vs) =
+      Buffer.add_char buf '(';
+      View.to_buffer buf v;
+      Buffer.add_char buf ',';
+      View.Set.to_buffer buf vs;
+      Buffer.add_char buf ')'
     in
-    Format.fprintf ppf
-      "me%a|cur%a|cc%a|act%a|amb%a|att%a|ir[%a]|rr[%a]|tv[%a]|fv[%a]|sv[%a]|rg{%a}|is[%a]"
-      Proc.pp s.me pp_view_opt s.cur pp_view_opt s.client_cur View.pp s.act
-      View.Set.pp s.amb View.Set.pp s.attempted
-      (plist (fun ppf ((q, g), x) ->
-           Format.fprintf ppf "%a.%a=%a" Proc.pp q Gid.pp g info x))
-      (Pg_map.bindings s.info_rcvd)
-      (plist (fun ppf ((q, g), ()) ->
-           Format.fprintf ppf "%a.%a" Proc.pp q Gid.pp g))
-      (Pg_map.bindings s.rcvd_rgst)
-      (gmap (Seqs.pp W.pp)) s.msgs_to_vs
-      (gmap (Seqs.pp mp)) s.msgs_from_vs
-      (gmap (Seqs.pp mp)) s.safe_from_vs
-      (plist Gid.pp) (Gid.Set.elements s.reg)
-      (gmap info) s.info_sent;
-    Format.pp_print_flush ppf ();
-    Buffer.contents buf
+    let gmap write m =
+      Render.bindings ~sep:";" Gid.Map.iter Gid.to_buffer ":" write buf m
+    in
+    str "me";
+    Proc.to_buffer buf s.me;
+    str "|cur";
+    view_opt buf s.cur;
+    str "|cc";
+    view_opt buf s.client_cur;
+    str "|act";
+    View.to_buffer buf s.act;
+    str "|amb";
+    View.Set.to_buffer buf s.amb;
+    str "|att";
+    View.Set.to_buffer buf s.attempted;
+    str "|ir[";
+    Render.bindings ~sep:";" Pg_map.iter Pg_map.key_to_buffer "=" info
+      buf s.info_rcvd;
+    str "]|rr[";
+    Render.bindings ~sep:";" Pg_map.iter Pg_map.key_to_buffer ""
+      (fun _ () -> ())
+      buf s.rcvd_rgst;
+    str "]|tv[";
+    gmap (Seqs.to_buffer W.to_buffer) s.msgs_to_vs;
+    str "]|fv[";
+    gmap (Seqs.to_buffer mp) s.msgs_from_vs;
+    str "]|sv[";
+    gmap (Seqs.to_buffer mp) s.safe_from_vs;
+    str "]|rg{";
+    Render.iter ~sep:";" Gid.Set.iter Gid.to_buffer buf s.reg;
+    str "}|is[";
+    gmap info s.info_sent;
+    str "]"
+
+  let state_key s = Render.to_string key_to_buffer s
 
   (* Flat canonical codec over the same thirteen components [state_key]
      renders; injective up to [equal_state] whenever [m] is injective up

@@ -95,9 +95,12 @@ module Make (M : Prelude.Msg_intf.S) : sig
   val equal_state : state -> state -> bool
 
   (** Canonical full-state rendering (all fields, history variables
-      included), injective whenever [M.pp] is injective on the alphabet in
-      use — a dedup-key component for exhaustive exploration. *)
+      included), injective whenever [M.to_buffer] is injective on the
+      alphabet in use — a dedup-key component for exhaustive exploration. *)
   val state_key : state -> string
+
+  (** [key_to_buffer buf s] appends [state_key s] to [buf]. *)
+  val key_to_buffer : Buffer.t -> state -> unit
 
   (** Flat canonical codec over the same components as [state_key]:
       injective up to [equal_state] whenever the client-message codec is

@@ -51,9 +51,17 @@ module Make (M : Msg_intf.S) = struct
 
   let equal a b = compare a b = 0
 
-  let pp ppf = function
-    | Client c -> Format.fprintf ppf "client:%a" M.pp c
+  let to_buffer buf = function
+    | Client c ->
+        Buffer.add_string buf "client:";
+        M.to_buffer buf c
     | Info (v, vs) ->
-        Format.fprintf ppf "info(act=%a,amb=%a)" View.pp v View.Set.pp vs
-    | Registered -> Format.pp_print_string ppf "registered"
+        Buffer.add_string buf "info(act=";
+        View.to_buffer buf v;
+        Buffer.add_string buf ",amb=";
+        View.Set.to_buffer buf vs;
+        Buffer.add_char buf ')'
+    | Registered -> Buffer.add_string buf "registered"
+
+  let pp ppf w = Render.pp to_buffer ppf w
 end

@@ -114,13 +114,13 @@ module Make (M : Msg_intf.S) = struct
      node's — used as the dedup key for exhaustive exploration. *)
   let state_key s =
     let buf = Buffer.create 2048 in
-    Buffer.add_string buf (Stk.state_key s.stk);
+    Stk.key_to_buffer buf s.stk;
     Proc.Map.iter
       (fun p n ->
         Buffer.add_string buf "##";
         Proc.to_buffer buf p;
         Buffer.add_char buf ':';
-        Buffer.add_string buf (Node.state_key n))
+        Node.key_to_buffer buf n)
       s.nodes;
     Buffer.contents buf
 
@@ -165,10 +165,10 @@ module Make (M : Msg_intf.S) = struct
         Format.fprintf ppf "[stk-reconfigure(%d)]" (List.length comps)
     | Stk_send { src; dst; pkt } ->
         Format.fprintf ppf "[stk-send %a→%a: %a]" Proc.pp src Proc.pp dst
-          (Vs_impl.Packet.pp W.pp) pkt
+          (Vs_impl.Packet.pp W.to_buffer) pkt
     | Stk_deliver { src; dst; pkt } ->
         Format.fprintf ppf "[stk-deliver %a→%a: %a]" Proc.pp src Proc.pp dst
-          (Vs_impl.Packet.pp W.pp) pkt
+          (Vs_impl.Packet.pp W.to_buffer) pkt
 
   let created s =
     Proc.Map.fold

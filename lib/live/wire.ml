@@ -19,7 +19,7 @@ let pp ppf = function
   | Hello { proc } -> Format.fprintf ppf "hello %a" Proc.pp proc
   | Pkt { src; dst; pkt } ->
       Format.fprintf ppf "pkt %a->%a %a" Proc.pp src Proc.pp dst
-        (Vs_impl.Packet.pp Format.pp_print_string)
+        (Vs_impl.Packet.pp Buffer.add_string)
         pkt
   | View_note v -> Format.fprintf ppf "view %a" View.pp v
   | Client m -> Format.fprintf ppf "client %S" m

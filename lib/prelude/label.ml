@@ -14,10 +14,17 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let pp ppf l =
-  Format.fprintf ppf "⟨%a,%d,%a⟩" Gid.pp l.id l.seqno Proc.pp l.origin
+let to_buffer buf l =
+  Buffer.add_string buf "⟨";
+  Gid.to_buffer buf l.id;
+  Buffer.add_char buf ',';
+  Render.int buf l.seqno;
+  Buffer.add_char buf ',';
+  Proc.to_buffer buf l.origin;
+  Buffer.add_string buf "⟩"
 
-let to_string l = Format.asprintf "%a" pp l
+let to_string l = Render.to_string to_buffer l
+let pp ppf l = Render.pp to_buffer ppf l
 
 module Ord = struct
   type nonrec t = t

@@ -11,6 +11,10 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+(** [to_buffer buf l] appends the [pp] rendering of [l] to [buf] without
+    going through a formatter — for [state_key] hot loops. *)
+val to_buffer : Buffer.t -> t -> unit
+
 module Set : Stdlib.Set.S with type elt = t
 
 module Map : sig

@@ -6,3 +6,8 @@ include Map.Make (struct
 end)
 
 let find_or ~default k m = match find_opt k m with Some v -> v | None -> default
+
+let key_to_buffer buf (p, g) =
+  Proc.to_buffer buf p;
+  Buffer.add_char buf '.';
+  Gid.to_buffer buf g

@@ -9,3 +9,7 @@ include Stdlib.Map.S with type key := key
 (** [find_or ~default k m]: total lookup with a default, matching the
     "init λ / init 1" array conventions of the specifications. *)
 val find_or : default:'a -> key -> 'a t -> 'a
+
+(** [key_to_buffer buf (p, g)] appends ["p.g"] (e.g. ["p0.g1"]), the key
+    rendering every [state_key] uses. *)
+val key_to_buffer : Buffer.t -> key -> unit

@@ -26,15 +26,21 @@ let compare a b =
 let equal a b = compare a b = 0
 
 (* Injective whenever payload strings are distinguishable: summaries render
-   into the exhaustive explorer's dedup keys (via {!To_msg.pp}), so the full
-   [con] binding list is printed, not just its cardinality. *)
-let pp ppf x =
-  Format.fprintf ppf "{con=[%a]; ord=%a; next=%d; high=%a}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       (fun ppf (l, a) -> Format.fprintf ppf "%a=%s" Label.pp l a))
-    (Label.Map.bindings x.con)
-    (Seqs.pp Label.pp) x.ord x.next Gid.pp x.high
+   into the exhaustive explorer's dedup keys (via {!To_msg.to_buffer}), so
+   the full [con] binding list is printed, not just its cardinality. *)
+let to_buffer buf x =
+  Buffer.add_string buf "{con=[";
+  Render.bindings ~sep:"," Label.Map.iter Label.to_buffer "="
+    Buffer.add_string buf x.con;
+  Buffer.add_string buf "]; ord=";
+  Seqs.to_buffer Label.to_buffer buf x.ord;
+  Buffer.add_string buf "; next=";
+  Render.int buf x.next;
+  Buffer.add_string buf "; high=";
+  Gid.to_buffer buf x.high;
+  Buffer.add_char buf '}'
+
+let pp ppf x = Render.pp to_buffer ppf x
 
 type gotstate = t Proc.Map.t
 

@@ -17,8 +17,15 @@ let equal a b = compare a b = 0
 let intersects v w = not (Proc.Set.is_empty (Proc.Set.inter v.set w.set))
 let majority_intersects v ~of_:w = Proc.Set.majority_of ~part:v.set ~whole:w.set
 let permute pi v = { v with set = Proc.Set.map pi v.set }
-let pp ppf v = Format.fprintf ppf "⟨%a,%a⟩" Gid.pp v.id Proc.Set.pp v.set
-let to_string v = Format.asprintf "%a" pp v
+let to_buffer buf v =
+  Buffer.add_string buf "⟨";
+  Gid.to_buffer buf v.id;
+  Buffer.add_char buf ',';
+  Proc.Set.to_buffer buf v.set;
+  Buffer.add_string buf "⟩"
+
+let to_string v = Render.to_string to_buffer v
+let pp ppf v = Render.pp to_buffer ppf v
 
 module Set = struct
   include Stdlib.Set.Make (struct
@@ -27,12 +34,12 @@ module Set = struct
     let compare = compare
   end)
 
-  let pp ppf s =
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-         pp)
-      (elements s)
+  let to_buffer buf s =
+    Buffer.add_char buf '{';
+    Render.iter ~sep:"; " iter to_buffer buf s;
+    Buffer.add_char buf '}'
+
+  let pp ppf s = Render.pp to_buffer ppf s
 
   let above g s = filter (fun v -> Gid.gt v.id g) s
 

@@ -14,6 +14,7 @@ type t =
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
+val to_buffer : Buffer.t -> t -> unit
 val is_summary : t -> bool
 
 (** Flat canonical codec (tag byte + payload), injective up to

@@ -67,19 +67,19 @@ let pp ppf t =
   Format.fprintf ppf "daemon: %d views issued, next %a" (View.Set.cardinal t.issued)
     Gid.pp t.next_id
 
-let state_key t =
-  let buf = Buffer.create 128 in
-  let ppf = Format.formatter_of_buffer buf in
-  let semi ppf () = Format.pp_print_string ppf ";" in
-  Format.fprintf ppf "is%a|nx%a|nt[%a]|cp[%a]" View.Set.pp t.issued Gid.pp
-    t.next_id
-    (Format.pp_print_list ~pp_sep:semi (fun ppf (p, g) ->
-         Format.fprintf ppf "%a=%a" Proc.pp p Gid.Bot.pp g))
-    (Proc.Map.bindings t.notified)
-    (Format.pp_print_list ~pp_sep:semi Proc.Set.pp)
-    t.components;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
+let key_to_buffer buf t =
+  Buffer.add_string buf "is";
+  View.Set.to_buffer buf t.issued;
+  Buffer.add_string buf "|nx";
+  Gid.to_buffer buf t.next_id;
+  Buffer.add_string buf "|nt[";
+  Render.bindings ~sep:";" Proc.Map.iter Proc.to_buffer "="
+    Gid.Bot.to_buffer buf t.notified;
+  Buffer.add_string buf "]|cp[";
+  Render.iter ~sep:";" List.iter Proc.Set.to_buffer buf t.components;
+  Buffer.add_char buf ']'
+
+let state_key t = Render.to_string key_to_buffer t
 
 (* Flat canonical codec over the same four components [state_key]
    renders; injective up to [equal]. *)

@@ -470,42 +470,60 @@ module Make (M : Msg_intf.S) = struct
       (Gid.Map.cardinal st.views_seen)
 
   (* Canonical full-state rendering (dedup-key component for exhaustive
-     exploration); injective whenever [M.pp] is. *)
-  let state_key st =
-    let buf = Buffer.create 512 in
-    let ppf = Format.formatter_of_buffer buf in
-    let semi ppf () = Format.pp_print_string ppf ";" in
-    let plist pp_x ppf xs = Format.pp_print_list ~pp_sep:semi pp_x ppf xs in
-    let mp ppf (m, q) = Format.fprintf ppf "%a@%a" M.pp m Proc.pp q in
-    let gmap pp_x ppf m =
-      plist (fun ppf (g, x) -> Format.fprintf ppf "%a:%a" Gid.pp g pp_x x) ppf
-        (Gid.Map.bindings m)
+     exploration); injective whenever [M.to_buffer] is. *)
+  let key_to_buffer buf st =
+    let str = Buffer.add_string buf in
+    let mp buf (m, q) =
+      M.to_buffer buf m;
+      Buffer.add_char buf '@';
+      Proc.to_buffer buf q
     in
-    let gints ppf m = gmap Format.pp_print_int ppf m in
-    let pgints ppf m =
-      plist
-        (fun ppf ((p, g), n) ->
-          Format.fprintf ppf "%a.%a=%d" Proc.pp p Gid.pp g n)
-        ppf (Pg_map.bindings m)
+    let gmap write m =
+      Render.bindings ~sep:";" Gid.Map.iter Gid.to_buffer ":" write buf m
     in
-    Format.fprintf ppf
-      "me%a|cur%a|vs[%a]|oq[%a]|fl[%a]|sl[%a]|fw[%a]|bs[%a]|ab[%a]|ss[%a]|rb[%a]|nd[%a]|ns[%a]|au[%a]|su[%a]"
-      Proc.pp st.me
-      (fun ppf -> function
-        | None -> Format.pp_print_string ppf "⊥"
-        | Some v -> View.pp ppf v)
-      st.cur (gmap View.pp) st.views_seen
-      (gmap (Seqs.pp M.pp)) st.outq
-      (gmap (Seqs.pp M.pp)) st.fwd_log
-      (gmap (Seqs.pp mp)) st.seq_log pgints st.fwd_seen pgints st.bcast_sent
-      pgints st.acked_by pgints st.stable_sent
-      (plist (fun ppf ((g, sn), x) ->
-           Format.fprintf ppf "%a.%d=%a" Gid.pp g sn mp x))
-      (Pg_map.bindings st.rcv_buf)
-      gints st.next_deliver gints st.next_safe gints st.acked_upto gints
-      st.stable_upto;
-    Format.pp_print_flush ppf ();
-    Buffer.contents buf
+    let gints m = gmap Render.int m in
+    let pgints m =
+      Render.bindings ~sep:";" Pg_map.iter Pg_map.key_to_buffer "=" Render.int
+        buf m
+    in
+    let gid_sn buf (g, sn) =
+      Gid.to_buffer buf g;
+      Buffer.add_char buf '.';
+      Render.int buf sn
+    in
+    str "me";
+    Proc.to_buffer buf st.me;
+    str "|cur";
+    Render.option ~none:"⊥" View.to_buffer buf st.cur;
+    str "|vs[";
+    gmap View.to_buffer st.views_seen;
+    str "]|oq[";
+    gmap (Seqs.to_buffer M.to_buffer) st.outq;
+    str "]|fl[";
+    gmap (Seqs.to_buffer M.to_buffer) st.fwd_log;
+    str "]|sl[";
+    gmap (Seqs.to_buffer mp) st.seq_log;
+    str "]|fw[";
+    pgints st.fwd_seen;
+    str "]|bs[";
+    pgints st.bcast_sent;
+    str "]|ab[";
+    pgints st.acked_by;
+    str "]|ss[";
+    pgints st.stable_sent;
+    str "]|rb[";
+    Render.bindings ~sep:";" Pg_map.iter gid_sn "=" mp buf st.rcv_buf;
+    str "]|nd[";
+    gints st.next_deliver;
+    str "]|ns[";
+    gints st.next_safe;
+    str "]|au[";
+    gints st.acked_upto;
+    str "]|su[";
+    gints st.stable_upto;
+    str "]"
+
+  let state_key st = Render.to_string key_to_buffer st
 
   (* Flat canonical codec over every field, in declaration order.
      [variant] and [drop_stale] are fixed at construction and constant

@@ -171,8 +171,11 @@ module Make (M : Prelude.Msg_intf.S) : sig
   val pp : Format.formatter -> state -> unit
 
   (** Canonical full-state rendering — dedup-key component for exhaustive
-      exploration; injective whenever [M.pp] is. *)
+      exploration; injective whenever [M.to_buffer] is. *)
   val state_key : state -> string
+
+  (** [key_to_buffer buf st] appends [state_key st] to [buf]. *)
+  val key_to_buffer : Buffer.t -> state -> unit
 
   (** Flat canonical codec over every state field in declaration order,
       given a payload codec; injective up to structural equality whenever

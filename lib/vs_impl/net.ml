@@ -170,25 +170,31 @@ module Make (M : Msg_intf.S) = struct
 
   (* Canonical full-state rendering; [blocked] is sorted so states equal
      under [equal] (which is order-insensitive) render identically. *)
-  let state_key s =
-    let buf = Buffer.create 256 in
-    let ppf = Format.formatter_of_buffer buf in
-    let semi ppf () = Format.pp_print_string ppf ";" in
-    Format.fprintf ppf "ch[%a]|bl[%a]"
-      (Format.pp_print_list ~pp_sep:semi (fun ppf ((src, dst), q) ->
-           Format.fprintf ppf "%a>%a:%a" Proc.pp src Proc.pp dst
-             (Seqs.pp (Packet.pp M.pp)) q))
-      (Pg_map.bindings s.channels)
-      (Format.pp_print_list ~pp_sep:semi (fun ppf (p, q) ->
-           Format.fprintf ppf "%a-%a" Proc.pp p Proc.pp q))
+  let key_to_buffer buf s =
+    let procs sep buf (p, q) =
+      Proc.to_buffer buf p;
+      Buffer.add_char buf sep;
+      Proc.to_buffer buf q
+    in
+    Buffer.add_string buf "ch[";
+    Render.bindings ~sep:";" Pg_map.iter (procs '>') ":"
+      (Seqs.to_buffer (Packet.to_buffer M.to_buffer))
+      buf s.channels;
+    Buffer.add_string buf "]|bl[";
+    Render.iter ~sep:";" List.iter (procs '-') buf
       (List.sort_uniq compare s.blocked);
+    Buffer.add_char buf ']';
     (* Remaining fault budgets distinguish future behaviour, so they must
        be part of the dedup key whenever faults are possible; the lossless
        policy renders nothing, keeping the original key byte-identical. *)
-    if Fault.is_faulty s.faults then
-      Format.fprintf ppf "|f[%d,%d,%d]" s.dropped s.duplicated s.reordered;
-    Format.pp_print_flush ppf ();
-    Buffer.contents buf
+    if Fault.is_faulty s.faults then begin
+      Buffer.add_string buf "|f[";
+      Render.iter ~sep:"," List.iter Render.int buf
+        [ s.dropped; s.duplicated; s.reordered ];
+      Buffer.add_char buf ']'
+    end
+
+  let state_key s = Render.to_string key_to_buffer s
 
   (* Flat canonical codec.  [blocked] is written sorted-deduplicated so
      states equal under [equal] (order-insensitive on that field) encode

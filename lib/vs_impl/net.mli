@@ -115,11 +115,14 @@ module Make (M : Prelude.Msg_intf.S) : sig
   val pp : Format.formatter -> state -> unit
 
   (** Canonical full-state rendering — dedup-key component for exhaustive
-      exploration; injective whenever [M.pp] is.  The blocked-pair list is
-      sorted, so set-equal states render identically.  Consumed fault
+      exploration; injective whenever [M.to_buffer] is.  The blocked-pair
+      list is sorted, so set-equal states render identically.  Consumed fault
       budgets are rendered only under a faulty policy, keeping lossless
       keys byte-identical to the pre-fault-model ones. *)
   val state_key : state -> string
+
+  (** [key_to_buffer buf s] appends [state_key s] to [buf]. *)
+  val key_to_buffer : Buffer.t -> state -> unit
 
   (** Flat canonical codec, given a payload codec.  The blocked-pair list
       is written sorted-deduplicated, so set-equal states encode

@@ -42,14 +42,32 @@ let compare cmp a b =
       match Gid.compare x.gid y.gid with 0 -> Int.compare x.upto y.upto | c -> c)
   | a, b -> Int.compare (tag a) (tag b)
 
-let pp pp_m ppf = function
+(* [tag[gid]] then [sep] and [n]: the common prefix of every packet. *)
+let head buf tag gid sep n =
+  Buffer.add_string buf tag;
+  Buffer.add_char buf '[';
+  Gid.to_buffer buf gid;
+  Buffer.add_char buf ']';
+  Buffer.add_string buf sep;
+  Render.int buf n
+
+let to_buffer write_m buf = function
   | Fwd { gid; fsn; payload } ->
-      Format.fprintf ppf "fwd[%a]#%d(%a)" Gid.pp gid fsn pp_m payload
+      head buf "fwd" gid "#" fsn;
+      Buffer.add_char buf '(';
+      write_m buf payload;
+      Buffer.add_char buf ')'
   | Seq { gid; sn; origin; payload } ->
-      Format.fprintf ppf "seq[%a]#%d(%a from %a)" Gid.pp gid sn pp_m payload
-        Proc.pp origin
-  | Ack { gid; upto } -> Format.fprintf ppf "ack[%a]≤%d" Gid.pp gid upto
-  | Stable { gid; upto } -> Format.fprintf ppf "stable[%a]≤%d" Gid.pp gid upto
+      head buf "seq" gid "#" sn;
+      Buffer.add_char buf '(';
+      write_m buf payload;
+      Buffer.add_string buf " from ";
+      Proc.to_buffer buf origin;
+      Buffer.add_char buf ')'
+  | Ack { gid; upto } -> head buf "ack" gid "≤" upto
+  | Stable { gid; upto } -> head buf "stable" gid "≤" upto
+
+let pp write_m ppf p = Render.pp (to_buffer write_m) ppf p
 
 (* Flat canonical codec: tag byte + constructor fields in declaration
    order; canonical because every field codec is. *)

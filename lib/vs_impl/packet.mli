@@ -36,8 +36,12 @@ val is_fwd : 'm t -> bool
 val permute : (Prelude.Proc.t -> Prelude.Proc.t) -> 'm t -> 'm t
 val compare : ('m -> 'm -> int) -> 'm t -> 'm t -> int
 
-val pp :
-  (Format.formatter -> 'm -> unit) -> Format.formatter -> 'm t -> unit
+(** [to_buffer write_m buf p] appends the rendering of [p] to [buf], with
+    [write_m] rendering the payload — for [state_key] hot loops. *)
+val to_buffer : (Buffer.t -> 'm -> unit) -> Buffer.t -> 'm t -> unit
+
+(** The same rendering as one Format token. *)
+val pp : (Buffer.t -> 'm -> unit) -> Format.formatter -> 'm t -> unit
 
 (** Flat canonical codec (tag byte + constructor fields), given a codec
     for the payload; injective up to [compare] equality whenever the

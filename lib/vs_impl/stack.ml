@@ -169,20 +169,23 @@ module Make (M : Msg_intf.S) = struct
 
   (* Canonical full-state rendering — net, daemon and every engine —
      used as the dedup key for exhaustive exploration. *)
-  let state_key s =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf (N.state_key s.net);
+  let key_to_buffer buf s =
+    N.key_to_buffer buf s.net;
     Buffer.add_string buf "||";
-    Buffer.add_string buf (Daemon.state_key s.daemon);
+    Daemon.key_to_buffer buf s.daemon;
     Proc.Map.iter
       (fun p e ->
         Buffer.add_char buf '#';
         Proc.to_buffer buf p;
         Buffer.add_char buf ':';
-        Buffer.add_string buf (E.state_key e))
+        E.key_to_buffer buf e)
       s.engines;
     Buffer.add_string buf "|p0";
-    Proc.Set.to_buffer buf s.p0;
+    Proc.Set.to_buffer buf s.p0
+
+  let state_key s =
+    let buf = Buffer.create 1024 in
+    key_to_buffer buf s;
     Buffer.contents buf
 
   (* Flat canonical codec — net, daemon, every engine, and the initial
@@ -252,10 +255,10 @@ module Make (M : Msg_intf.S) = struct
         Format.fprintf ppf "[reconfigure(%d components)]" (List.length comps)
     | Send { src; dst; pkt } ->
         Format.fprintf ppf "[send %a→%a: %a]" Proc.pp src Proc.pp dst
-          (Packet.pp M.pp) pkt
+          (Packet.pp M.to_buffer) pkt
     | Deliver { src; dst; pkt } ->
         Format.fprintf ppf "[deliver %a→%a: %a]" Proc.pp src Proc.pp dst
-          (Packet.pp M.pp) pkt
+          (Packet.pp M.to_buffer) pkt
     | Drop { src; dst } ->
         Format.fprintf ppf "[drop %a→%a]" Proc.pp src Proc.pp dst
     | Duplicate { src; dst } ->
@@ -264,7 +267,7 @@ module Make (M : Msg_intf.S) = struct
         Format.fprintf ppf "[reorder %a→%a]" Proc.pp src Proc.pp dst
     | Retransmit { src; dst; pkt } ->
         Format.fprintf ppf "[retransmit %a→%a: %a]" Proc.pp src Proc.pp dst
-          (Packet.pp M.pp) pkt
+          (Packet.pp M.to_buffer) pkt
 
   (* ---------------------------------------------------------------- *)
   (* Generation                                                        *)
